@@ -30,11 +30,11 @@ from .experiments import (
     degrade_image,
     replicate_seed,
     run_benchmark,
+    solve_path,
     summarize_by_rank,
     test_error,
     training_error,
 )
-from .huber import choose_cutoff
 from .matio import (
     atomic_write_text,
     read_matrix_csv,
@@ -47,7 +47,7 @@ from .solvers import (
     PathSolution,
     SolverConfig,
     default_gamma_path,
-    robust_impute,
+    robust_impute,  # unused here; the layer tracer in bench/ binds this name
     soft_impute,
 )
 
@@ -166,45 +166,29 @@ def _resolve_gammas(args, problem):
     return list(default_gamma_path(problem, args.gamma_count))
 
 
-def _soft_path(problem, gammas, epsilon, max_iters) -> PathSolution:
-    """Warm-started squared-loss path; tolerates a single gamma of zero."""
-    y = None
-    sols = []
-    for gamma in gammas:
-        sol = soft_impute(problem, gamma, y, epsilon, max_iters)
-        y = sol.y_hat
-        sols.append(sol)
-    return PathSolution(tuple(sols))
-
-
-def _robust_path(problem, gammas, args) -> PathSolution:
-    if any(g <= 0 for g in gammas):
-        raise _UsageError("the robust solver needs positive gamma values")
-    config = SolverConfig(gamma_path=tuple(gammas), cutoff=args.cutoff,
+def _solve_path(method, problem, gammas, args) -> PathSolution:
+    """Solve along `gammas`; squared loss also takes a single gamma of zero."""
+    if gammas[0] == 0:
+        if method == "robust":
+            raise _UsageError("the robust solver needs positive gamma values")
+        return PathSolution((soft_impute(problem, gammas[0], None, args.tol, args.max_iters),))
+    config = SolverConfig(gamma_path=tuple(gammas),
+                          cutoff=args.cutoff if method == "robust" else None,
                           epsilon=args.tol, max_inner_iters=args.max_iters)
-    return robust_impute(problem, config)
+    return solve_path(method, problem, config)
 
 
-def _cutoff_for(args, problem, gamma):
-    if args.cutoff is not None:
-        return float(args.cutoff)
-    return choose_cutoff(gamma, problem.n_rows, problem.n_cols, problem.observed_fraction)
-
-
-def _diagnostics_entries(method, path, args, problem):
-    entries = []
-    for sol in path:
-        entries.append({
-            "method": method,
-            "gamma": sol.gamma,
-            "c": _cutoff_for(args, problem, sol.gamma) if method == "robust" else None,
-            "iterations": sol.iterations,
-            "svd_count": sol.svd_count,
-            "final_rank": sol.final_rank,
-            "objective_final": sol.objective_trace[-1],
-            "converged": sol.converged,
-        })
-    return entries
+def _diagnostics_entries(method, path):
+    return [{
+        "method": method,
+        "gamma": sol.gamma,
+        "c": sol.cutoff,
+        "iterations": sol.iterations,
+        "svd_count": sol.svd_count,
+        "final_rank": sol.final_rank,
+        "objective_final": sol.objective_trace[-1],
+        "converged": sol.converged,
+    } for sol in path]
 
 
 def _write_json(path, payload):
@@ -231,8 +215,7 @@ def _ensure_out_dir(args):
     return args.out_dir
 
 
-def _convergence_exit(args, path_solutions) -> int:
-    ok = all(s.converged for p in path_solutions for s in p)
+def _convergence_exit(args, ok) -> int:
     if ok or args.allow_nonconverged:
         return 0
     sys.stderr.write("robustmc: some solves did not converge "
@@ -244,30 +227,25 @@ def cmd_complete(args) -> int:
     out_dir = _ensure_out_dir(args)
     problem = read_matrix_csv(args.input, header=args.header)
     gammas = _resolve_gammas(args, problem)
-    if args.no_robust:
-        method = "soft"
-        path = _soft_path(problem, gammas, args.tol, args.max_iters)
-    else:
-        method = "robust"
-        path = _robust_path(problem, gammas, args)
+    method = "soft" if args.no_robust else "robust"
+    path = _solve_path(method, problem, gammas, args)
     write_matrix_csv(os.path.join(out_dir, "completed.csv"), path[-1].y_hat)
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "input": args.input,
-        "entries": _diagnostics_entries(method, path, args, problem),
+        "entries": _diagnostics_entries(method, path),
     })
     _write_manifest(out_dir, "complete", args,
                     extra={"resolved_gamma_path": list(gammas)})
-    return _convergence_exit(args, [path])
+    return _convergence_exit(args, path.all_converged)
 
 
 def cmd_outliers(args) -> int:
     out_dir = _ensure_out_dir(args)
     problem = read_matrix_csv(args.input, header=args.header)
     gammas = _resolve_gammas(args, problem)
-    path = _robust_path(problem, gammas, args)
+    path = _solve_path("robust", problem, gammas, args)
     sol = path[-1]
-    c = _cutoff_for(args, problem, sol.gamma)
-    s_hat = extract_sparse(problem, sol.y_hat, c)
+    s_hat = extract_sparse(problem, sol.y_hat, sol.cutoff)
     write_matrix_csv(os.path.join(out_dir, "outliers.csv"), s_hat)
     rows, cols = np.nonzero(s_hat)
     entries = sorted(
@@ -279,13 +257,13 @@ def cmd_outliers(args) -> int:
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "input": args.input,
         "gamma": sol.gamma,
-        "c": c,
+        "c": sol.cutoff,
         "flagged": len(entries),
-        "entries": _diagnostics_entries("robust", path, args, problem),
+        "entries": _diagnostics_entries("robust", path),
     })
     _write_manifest(out_dir, "outliers", args,
                     extra={"resolved_gamma_path": list(gammas)})
-    return _convergence_exit(args, [path])
+    return _convergence_exit(args, path.all_converged)
 
 
 def _methods_from(args):
@@ -297,6 +275,9 @@ def _format_float(v) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.gamma is not None or args.gamma_path is not None:
+        raise _UsageError("simulate derives a gamma path per replicate; "
+                          "set its length with --gamma-count")
     out_dir = _ensure_out_dir(args)
     try:
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
@@ -337,11 +318,7 @@ def cmd_simulate(args) -> int:
     if any_failure:
         sys.stderr.write("robustmc: some replicates failed; see results.json\n")
         return 2
-    if all_converged or args.allow_nonconverged:
-        return 0
-    sys.stderr.write("robustmc: some solves did not converge "
-                     "(rerun with --allow-nonconverged to accept them)\n")
-    return 3
+    return _convergence_exit(args, all_converged)
 
 
 def _image_test_error(inst, y):
@@ -382,10 +359,7 @@ def cmd_inpaint(args) -> int:
         if first_instance is None:
             first_instance = inst
         for m in methods:
-            if m == "robust":
-                path = _robust_path(problem, gammas, args)
-            else:
-                path = _soft_path(problem, gammas, args.tol, args.max_iters)
+            path = _solve_path(m, problem, gammas, args)
             paths.append(path)
             errs = []
             for gi, sol in enumerate(path):
@@ -428,7 +402,7 @@ def cmd_inpaint(args) -> int:
         "mean_best_test_error": {m: float(np.mean(v)) for m, v in best.items()},
     })
     _write_manifest(out_dir, "inpaint", args)
-    return _convergence_exit(args, paths)
+    return _convergence_exit(args, all(p.all_converged for p in paths))
 
 
 def main(argv=None) -> int:

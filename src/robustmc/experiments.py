@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataValidationError, RobustMcError
 from .matcore import ObservationMask, Problem, _frozen, as_matrix
 from .solvers import (
+    PathSolution,
     SolverConfig,
     default_gamma_path,
     robust_impute,
@@ -375,7 +376,8 @@ def summarize_by_rank(records) -> list:
     return out
 
 
-def _solve_path(method: str, problem: Problem, config: SolverConfig):
+def solve_path(method: str, problem: Problem, config: SolverConfig) -> PathSolution:
+    """Solve one method ("robust" or "soft") along the config's gamma path."""
     if method == "robust":
         return robust_impute(problem, config)
     if method == "soft":
@@ -413,7 +415,7 @@ def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
                                   max_inner_iters=max_inner_iters)
             for m in methods:
                 try:
-                    path = _solve_path(m, problem, config)
+                    path = solve_path(m, problem, config)
                     for gi, sol in enumerate(path):
                         records[m].append(PathRecord(
                             replicate=rep,

@@ -27,16 +27,9 @@ class HuberParams:
             raise DataValidationError(f"cutoff c must be positive and finite, got {self.c}")
 
 
-def _check_cutoff(c: float) -> float:
-    c = float(c)
-    if not (c > 0 and np.isfinite(c)):
-        raise DataValidationError(f"cutoff c must be positive and finite, got {c}")
-    return c
-
-
 def rho(x, c: float):
     """Huber loss: x**2 for |x| <= c, c*(2|x| - c) beyond."""
-    c = _check_cutoff(c)
+    c = HuberParams(float(c)).c
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.where(ax <= c, x * x, c * (2.0 * ax - c))
@@ -45,7 +38,7 @@ def rho(x, c: float):
 
 def psi(x, c: float):
     """Derivative of `rho`: 2x inside [-c, c], clipped to +-2c outside."""
-    c = _check_cutoff(c)
+    c = HuberParams(float(c)).c
     x = np.asarray(x, dtype=float)
     out = np.where(np.abs(x) <= c, 2.0 * x, 2.0 * c * np.sign(x))
     return float(out) if out.ndim == 0 else out
@@ -62,7 +55,7 @@ def huber_norm_sq(m, c: float) -> float:
 
 def soft_threshold_scalar(x, c: float):
     """Shrink toward zero by c: the minimizer of 0.5*(x - s)**2 + c*|s|."""
-    c = _check_cutoff(c)
+    c = HuberParams(float(c)).c
     x = np.asarray(x, dtype=float)
     out = np.where(x > c, x - c, np.where(x < -c, x + c, 0.0))
     return float(out) if out.ndim == 0 else out
@@ -76,7 +69,7 @@ def pseudo_data(x_obs, y_cur, mask: ObservationMask, c: float) -> np.ndarray:
     are replaced by the current estimate moved c toward the observation.
     Off the mask the result is zero.
     """
-    c = _check_cutoff(c)
+    c = HuberParams(float(c)).c
     x_obs = np.asarray(x_obs, dtype=float)
     y_cur = np.asarray(y_cur, dtype=float)
     if x_obs.shape != y_cur.shape or x_obs.shape != mask.shape:

@@ -91,20 +91,13 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
 def format_matrix_csv(m, mask: ObservationMask = None) -> str:
     """Render a matrix as CSV text; with a mask, unobserved cells are empty."""
     m = as_matrix(m, "matrix")
-    flags = None
-    if mask is not None:
+    if mask is None:
+        lines = [",".join(map(repr, row)) for row in m.tolist()]
+    else:
         if mask.shape != m.shape:
             raise DataValidationError(f"mask shape {mask.shape} != matrix shape {m.shape}")
-        flags = mask.flags
-    lines = []
-    for i in range(m.shape[0]):
-        cells = []
-        for j in range(m.shape[1]):
-            if flags is not None and not flags[i, j]:
-                cells.append("")
-            else:
-                cells.append(repr(float(m[i, j])))
-        lines.append(",".join(cells))
+        lines = [",".join(repr(v) if seen else "" for v, seen in zip(row, flags))
+                 for row, flags in zip(m.tolist(), mask.flags.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataValidationError, DimensionMismatchError
-from .huber import choose_cutoff, huber_norm_sq, pseudo_data, psi
+from .huber import HuberParams, choose_cutoff, huber_norm_sq, pseudo_data, psi
 from .matcore import (
     Problem,
     _frozen,
@@ -74,8 +74,8 @@ class SolverConfig:
             if any(a <= b for a, b in zip(path, path[1:])):
                 raise DataValidationError("gamma_path must be strictly decreasing")
             object.__setattr__(self, "gamma_path", path)
-        if self.cutoff is not None and not (self.cutoff > 0 and np.isfinite(self.cutoff)):
-            raise DataValidationError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if self.cutoff is not None:
+            HuberParams(float(self.cutoff))
         if not (self.epsilon > 0):
             raise DataValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_inner_iters < 1 or self.max_outer_iters < 1:
@@ -90,7 +90,8 @@ class Solution:
     iteration (the warm start), later entries follow each update, so the
     trace being non-increasing is exactly the per-step descent guarantee.
     `final_rank` counts singular values of y_hat above RANK_TOL times the
-    largest one.
+    largest one.  `cutoff` is the Huber cutoff the stage used, or None for
+    squared loss.
     """
 
     y_hat: np.ndarray
@@ -100,6 +101,7 @@ class Solution:
     objective_trace: tuple
     final_rank: int
     converged: bool
+    cutoff: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "y_hat", _frozen(self.y_hat))
@@ -181,14 +183,17 @@ def _masked_residual(x, flags, y):
     return np.where(flags, x - y, 0.0)
 
 
-def _f_value(x, flags, y, gamma, nuc):
+def _objective(x, flags, y, gamma, c, nuc):
+    """Squared-loss objective for c=None, Huber objective otherwise."""
     r = _masked_residual(x, flags, y)
-    return 0.5 * float(np.sum(r * r)) + gamma * nuc
+    loss = float(np.sum(r * r)) if c is None else huber_norm_sq(r, c)
+    return 0.5 * loss + gamma * nuc
 
 
-def _g_value(x, flags, y, gamma, c, nuc):
-    r = _masked_residual(x, flags, y)
-    return 0.5 * huber_norm_sq(r, c) + gamma * nuc
+def _cutoff(config, problem, gamma):
+    if config.cutoff is not None:
+        return config.cutoff
+    return choose_cutoff(gamma, problem.n_rows, problem.n_cols, problem.observed_fraction)
 
 
 def default_gamma_path(problem: Problem, count: int = 20,
@@ -214,7 +219,7 @@ def objective_f(problem: Problem, y, gamma: float) -> float:
     y = as_matrix(y, "y")
     if y.shape != problem.shape:
         raise DimensionMismatchError(f"y shape {y.shape} != problem shape {problem.shape}")
-    return _f_value(problem.values, problem.mask.flags, y, float(gamma), nuclear_norm(y))
+    return _objective(problem.values, problem.mask.flags, y, float(gamma), None, nuclear_norm(y))
 
 
 def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
@@ -222,7 +227,58 @@ def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
     y = as_matrix(y, "y")
     if y.shape != problem.shape:
         raise DimensionMismatchError(f"y shape {y.shape} != problem shape {problem.shape}")
-    return _g_value(problem.values, problem.mask.flags, y, float(gamma), c, nuclear_norm(y))
+    return _objective(problem.values, problem.mask.flags, y, float(gamma), c, nuclear_norm(y))
+
+
+def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
+           nuc: float, epsilon: float, max_iters: int, svds: int = 0):
+    """One shrinkage stage at a fixed gamma from the warm start y, whose
+    nuclear norm is nuc.
+
+    Each step fills the observed entries with P(X) (squared loss, c=None)
+    or with Huber surrogates for cutoff c, keeps y elsewhere and
+    soft-thresholds the spectrum, until the squared relative change drops
+    below epsilon.  `svds` counts SVDs already charged to the stage.  Also
+    returns the nuclear norm of y_hat, so the next stage needs no SVD.
+    """
+    x = problem.values
+    flags = problem.mask.flags
+    trace = [_objective(x, flags, y, gamma, c, nuc)]
+    converged = False
+    iterations = 0
+    shrunk = np.zeros(0)
+    for it in range(1, max_iters + 1):
+        fill = x if c is None else pseudo_data(x, y, problem.mask, c)
+        y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma)
+        svds += 1
+        nuc = float(shrunk.sum())
+        trace.append(_objective(x, flags, y_new, gamma, c, nuc))
+        done = _rel_change_sq(y_new, y) < epsilon
+        y = y_new
+        iterations = it
+        if done:
+            converged = True
+            break
+    return Solution(y, gamma, iterations, svds, tuple(trace),
+                    _rank_from_values(shrunk), converged, c), nuc
+
+
+def _path(problem: Problem, config: SolverConfig, robust: bool) -> PathSolution:
+    """Warm-started `_stage`s along the gamma path; squared loss starts at zero."""
+    gammas = config.gamma_path if config.gamma_path is not None else default_gamma_path(problem)
+    if robust:
+        y, shrunk = shrink_singular_values(problem.values, gammas[0])
+        nuc, svds = float(shrunk.sum()), 1
+    else:
+        y, nuc, svds = np.zeros(problem.shape), 0.0, 0
+    sols = []
+    for gamma in gammas:
+        c = _cutoff(config, problem, gamma) if robust else None
+        sol, nuc = _stage(problem, gamma, c, y, nuc, config.epsilon,
+                          config.max_inner_iters, svds)
+        y, svds = sol.y_hat, 0
+        sols.append(sol)
+    return PathSolution(tuple(sols))
 
 
 def soft_impute(problem: Problem, gamma: float, y_init=None,
@@ -240,47 +296,20 @@ def soft_impute(problem: Problem, gamma: float, y_init=None,
         raise DataValidationError(f"epsilon must be positive, got {epsilon}")
     if max_iters < 1:
         raise DataValidationError(f"max_iters must be >= 1, got {max_iters}")
-    x = problem.values
-    flags = problem.mask.flags
     if y_init is None:
-        y = np.zeros(problem.shape)
-        nuc = 0.0
+        y, nuc = np.zeros(problem.shape), 0.0
     else:
         y = as_matrix(y_init, "y_init")
         if y.shape != problem.shape:
             raise DimensionMismatchError(f"y_init shape {y.shape} != problem shape {problem.shape}")
         nuc = nuclear_norm(y)
-    trace = [_f_value(x, flags, y, gamma, nuc)]
-    svds = 0
-    converged = False
-    iterations = 0
-    shrunk = np.zeros(0)
-    for it in range(1, max_iters + 1):
-        y_new, shrunk = shrink_singular_values(np.where(flags, x, y), gamma)
-        svds += 1
-        trace.append(_f_value(x, flags, y_new, gamma, float(shrunk.sum())))
-        done = _rel_change_sq(y_new, y) < epsilon
-        y = y_new
-        iterations = it
-        if done:
-            converged = True
-            break
-    return Solution(y, gamma, iterations, svds, tuple(trace),
-                    _rank_from_values(shrunk), converged)
+    return _stage(problem, gamma, None, y, nuc, epsilon, max_iters)[0]
 
 
 def soft_impute_path(problem: Problem, config: Optional[SolverConfig] = None) -> PathSolution:
-    """Run `soft_impute` along a gamma path, warm-starting each stage from
-    the previous solution."""
-    config = config if config is not None else SolverConfig()
-    gammas = config.gamma_path if config.gamma_path is not None else default_gamma_path(problem)
-    y = None
-    sols = []
-    for gamma in gammas:
-        sol = soft_impute(problem, gamma, y, config.epsilon, config.max_inner_iters)
-        y = sol.y_hat
-        sols.append(sol)
-    return PathSolution(tuple(sols))
+    """Squared-loss completion along a gamma path, warm-starting each stage
+    from the previous solution."""
+    return _path(problem, config if config is not None else SolverConfig(), robust=False)
 
 
 def general_robust(problem: Problem, gamma: float,
@@ -299,8 +328,7 @@ def general_robust(problem: Problem, gamma: float,
     if not gamma > 0:
         raise DataValidationError(f"gamma must be positive, got {gamma}")
     config = config if config is not None else SolverConfig()
-    c = config.cutoff if config.cutoff is not None else choose_cutoff(
-        gamma, problem.n_rows, problem.n_cols, problem.observed_fraction)
+    c = _cutoff(config, problem, gamma)
     if completer is None:
         def completer(prob, g, y0):
             return soft_impute(prob, g, y0, config.epsilon, config.max_inner_iters)
@@ -309,7 +337,7 @@ def general_robust(problem: Problem, gamma: float,
     inner = completer(problem, gamma, None)
     y = np.asarray(inner.y_hat, dtype=float)
     svds = inner.svd_count
-    trace = [_g_value(x, flags, y, gamma, c, nuclear_norm(y))]
+    trace = [_objective(x, flags, y, gamma, c, nuclear_norm(y))]
     converged = False
     iterations = 0
     for it in range(1, config.max_outer_iters + 1):
@@ -317,14 +345,14 @@ def general_robust(problem: Problem, gamma: float,
         inner = completer(Problem(z, problem.mask), gamma, y)
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
-        trace.append(_g_value(x, flags, y_new, gamma, c, nuclear_norm(y_new)))
+        trace.append(_objective(x, flags, y_new, gamma, c, nuclear_norm(y_new)))
         done = _rel_change_sq(y_new, y) < config.epsilon
         y = y_new
         iterations = it
         if done:
             converged = True
             break
-    return Solution(y, gamma, iterations, svds, tuple(trace), inner.final_rank, converged)
+    return Solution(y, gamma, iterations, svds, tuple(trace), inner.final_rank, converged, c)
 
 
 def robust_impute(problem: Problem, config: Optional[SolverConfig] = None) -> PathSolution:
@@ -340,38 +368,7 @@ def robust_impute(problem: Problem, config: Optional[SolverConfig] = None) -> Pa
     svd_count on each Solution counts the shrinkage SVDs of that stage; the
     initial shrinkage is attributed to the first stage.
     """
-    config = config if config is not None else SolverConfig()
-    gammas = config.gamma_path if config.gamma_path is not None else default_gamma_path(problem)
-    x = problem.values
-    flags = problem.mask.flags
-    n1, n2 = problem.shape
-    frac = problem.observed_fraction
-    y, shrunk = shrink_singular_values(problem.values, gammas[0])
-    nuc = float(shrunk.sum())
-    pending_svds = 1
-    sols = []
-    for gamma in gammas:
-        c = config.cutoff if config.cutoff is not None else choose_cutoff(gamma, n1, n2, frac)
-        svds = pending_svds
-        pending_svds = 0
-        trace = [_g_value(x, flags, y, gamma, c, nuc)]
-        converged = False
-        iterations = 0
-        for it in range(1, config.max_inner_iters + 1):
-            z = pseudo_data(x, y, problem.mask, c)
-            y_new, shrunk = shrink_singular_values(np.where(flags, z, y), gamma)
-            svds += 1
-            nuc = float(shrunk.sum())
-            trace.append(_g_value(x, flags, y_new, gamma, c, nuc))
-            done = _rel_change_sq(y_new, y) < config.epsilon
-            y = y_new
-            iterations = it
-            if done:
-                converged = True
-                break
-        sols.append(Solution(y, gamma, iterations, svds, tuple(trace),
-                             _rank_from_values(shrunk), converged))
-    return PathSolution(tuple(sols))
+    return _path(problem, config if config is not None else SolverConfig(), robust=True)
 
 
 def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float,

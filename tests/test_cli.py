@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 from robustmc import ObservationMask
 from robustmc.cli import main
@@ -59,6 +61,15 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "complete"
         assert "config" in manifest and "resolved_gamma_path" in manifest
+
+    @pytest.mark.parametrize("flags,cutoff", [(["--c", "0.5"], 0.5), (["--no-robust"], None)])
+    def test_diagnostics_report_the_cutoff_used(self, tmp_path, flags, cutoff):
+        src = tmp_path / "in.csv"
+        write_fixture_csv(src)
+        out = tmp_path / "out"
+        assert main(["complete", str(src), "--gamma-count", "4", "--out-dir", str(out)] + flags) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert [e["c"] for e in diag["entries"]] == [cutoff] * 4
 
     def test_reruns_are_bit_identical(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -119,6 +130,14 @@ class TestSimulate:
         summary = json.loads((out1 / "results.json").read_text())
         methods = {s["method"] for s in summary["settings"]}
         assert methods == {"robust", "soft"}
+
+    @pytest.mark.parametrize("flag,value", [("--gamma", "5.0"), ("--gamma-path", "5,1")])
+    def test_gamma_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", "--n", "30", "--rank", "3", "--replicates", "1",
+                     "--method", "robust", flag, value, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "--gamma-count" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_invalid_spec_is_usage_error(self, tmp_path):
         code = main(["simulate", "--n", "10", "--rank", "40",
@@ -195,6 +214,16 @@ class TestExitCodes:
         src = tmp_path / "in.csv"
         src.write_text("NA,NA\nNA,NA\n")
         assert main(["complete", str(src), "--out-dir", str(tmp_path)]) == 2
+
+    def test_data_error_when_both_svd_drivers_fail(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        src = tmp_path / "in.csv"
+        write_fixture_csv(src)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(scipy.linalg, "svd", fail)
+        assert main(["complete", str(src), "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_nonconvergence_exit_and_override(self, tmp_path):
         src = tmp_path / "in.csv"

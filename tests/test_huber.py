@@ -59,6 +59,16 @@ class TestRho:
         with pytest.raises(DataValidationError):
             HuberParams(-1.0)
 
+    @pytest.mark.parametrize("c", [0, -1.0, np.inf, np.nan])
+    def test_every_entry_point_rejects_cutoff_alike(self, c):
+        mask = ObservationMask.full(1, 1)
+        calls = [lambda: rho(1.0, c), lambda: psi(1.0, c), lambda: huber_norm_sq([1.0], c),
+                 lambda: soft_threshold_scalar(1.0, c),
+                 lambda: pseudo_data([[1.0]], [[0.0]], mask, c), lambda: HuberParams(c)]
+        for call in calls:
+            with pytest.raises(DataValidationError, match="cutoff c must be positive and finite"):
+                call()
+
 
 class TestPsi:
     def test_linear_branch(self):

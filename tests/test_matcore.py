@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustmc import (
     DataValidationError,
     DimensionMismatchError,
     ObservationMask,
     Problem,
+    SvdError,
     frobenius_norm_sq,
     nuclear_norm,
     project,
@@ -13,6 +15,8 @@ from robustmc import (
     svd,
     svd_soft_threshold,
 )
+
+from robustmc.matcore import _raw_svd
 
 from oracles import gram_singular_values, prox_objective, prox_nuclear_oracle
 
@@ -182,6 +186,35 @@ class TestSvd:
         assert np.allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-8)
         assert np.allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-8)
         assert np.all(np.diff(f.singular_values) <= 0)
+
+
+def _fail_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+class TestSvdFallback:
+    def test_gesvd_result_used_when_default_driver_fails(self, monkeypatch):
+        m = np.random.default_rng(13).standard_normal((7, 5))
+        reference = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        drivers = []
+        real = scipy.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        u, s, vt = _raw_svd(m)
+        assert drivers == ["gesvd"]
+        for got, want in zip((u, s, vt), reference):
+            assert np.array_equal(got, want)
+
+    def test_both_drivers_failing_raise_svd_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
+        with pytest.raises(SvdError):
+            _raw_svd(np.eye(3))
 
 
 class TestSvdSoftThreshold:

@@ -15,12 +15,29 @@ class TestMatrixCsv:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(70)
         m = rng.standard_normal((7, 5)) * np.exp(rng.uniform(-8, 8, (7, 5)))
-        mask = ObservationMask(rng.random((7, 5)) < 0.6)
+        m[0, :4] = [-0.0, 5e-324, 1e300, -1e-300]  # signed zero, subnormal, extremes
+        flags = rng.random((7, 5)) < 0.6
+        flags[0, :4] = True
+        mask = ObservationMask(flags)
         path = tmp_path / "m.csv"
         write_matrix_csv(path, np.where(mask.flags, m, 0.0), mask)
         prob = read_matrix_csv(path)
         assert prob.mask == mask
         assert np.array_equal(prob.values, np.where(mask.flags, m, 0.0))
+        assert np.array_equal(np.signbit(prob.values), np.signbit(np.where(mask.flags, m, 0.0)))
+        write_matrix_csv(path, m)
+        back = read_matrix_csv(path).values
+        assert np.array_equal(back, m) and np.array_equal(np.signbit(back), np.signbit(m))
+
+    def test_format_is_shortest_repr_per_cell(self):
+        rng = np.random.default_rng(73)
+        m = rng.standard_normal((4, 3))
+        m[1, 1] = -0.0
+        flags = rng.random((4, 3)) < 0.5
+        expected = "".join(
+            ",".join(repr(float(m[i, j])) if flags[i, j] else "" for j in range(3)) + "\n"
+            for i in range(4))
+        assert format_matrix_csv(m, ObservationMask(flags)) == expected
 
     def test_na_token(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -19,6 +19,8 @@ from robustmc import (
     svd_soft_threshold,
 )
 
+from robustmc import matcore
+
 from oracles import completion_oracle, completion_objective
 
 
@@ -280,6 +282,49 @@ class TestRobustImpute:
         b = robust_impute(prob, cfg)[0]
         rel = np.linalg.norm(a.y_hat - b.y_hat) / np.linalg.norm(b.y_hat)
         assert rel <= 10 * np.sqrt(eps)
+
+
+class TestStageKernel:
+    def test_soft_path_equals_chain_of_warm_started_soft_impute(self):
+        _, prob = make_instance(47, outlier_frac=0.05)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 8))
+        y = None
+        for stage in soft_impute_path(prob, cfg):
+            single = soft_impute(prob, stage.gamma, y, cfg.epsilon, cfg.max_inner_iters)
+            assert np.array_equal(stage.y_hat, single.y_hat)
+            assert stage.iterations == single.iterations
+            assert stage.svd_count == single.svd_count
+            # trace[0] of a warm start differs in rounding: the path carries
+            # the previous stage's sum of shrunk values, soft_impute takes an SVD
+            assert stage.objective_trace[1:] == single.objective_trace[1:]
+            y = single.y_hat
+
+    @pytest.mark.parametrize("solve", [soft_impute_path, robust_impute])
+    def test_every_svd_is_counted(self, solve, monkeypatch):
+        _, prob = make_instance(48, outlier_frac=0.1)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 10))
+        calls = []
+        raw_svd = matcore._raw_svd
+
+        def counted(m):
+            calls.append(m.shape)
+            return raw_svd(m)
+
+        monkeypatch.setattr(matcore, "_raw_svd", counted)
+        path = solve(prob, cfg)
+        assert len(calls) == path.total_svd_count
+
+    def test_cutoff_follows_the_rule_per_stage(self):
+        _, prob = make_instance(49, outlier_frac=0.1)
+        gammas = default_gamma_path(prob, 6)
+        auto = robust_impute(prob, SolverConfig(gamma_path=gammas))
+        assert [s.cutoff for s in auto] == [
+            choose_cutoff(g, prob.n_rows, prob.n_cols, prob.observed_fraction) for g in gammas]
+        fixed = robust_impute(prob, SolverConfig(gamma_path=gammas, cutoff=0.3))
+        assert all(s.cutoff == 0.3 for s in fixed)
+        assert general_robust(prob, gammas[2], SolverConfig(cutoff=0.3)).cutoff == 0.3
+        assert all(s.cutoff is None for s in soft_impute_path(prob, SolverConfig(gamma_path=gammas)))
+        assert soft_impute(prob, gammas[0]).cutoff is None
 
 
 class TestStationarityCertificate:

@@ -3,8 +3,9 @@
 Four subcommands: `complete` (matrix completion from a CSV), `outliers`
 (sparse outlier map of a CSV), `simulate` (seeded synthetic benchmark) and
 `inpaint` (image degradation + recovery study).  Every run writes a
-manifest.json carrying the fully resolved configuration, the tool version
-and the master seed, which is sufficient to reproduce the outputs exactly.
+manifest.json carrying the fully resolved configuration, the tool version,
+the master seed and the numeric environment (numpy and scipy versions, BLAS
+thread variables), which is sufficient to reproduce the outputs exactly.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 at least one solve
 did not converge and --allow-nonconverged was absent.
@@ -20,6 +21,7 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import RobustMcError
@@ -195,6 +197,11 @@ def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# the environment variables that set the BLAS thread count, which can move
+# the last digits of every SVD
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_manifest(out_dir, command, args, extra=None):
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     payload = {
@@ -204,6 +211,11 @@ def _write_manifest(out_dir, command, args, extra=None):
         "seed": getattr(args, "seed", None),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            **{var: os.environ.get(var) for var in THREAD_VARIABLES},
+        },
     }
     if extra:
         payload.update(extra)

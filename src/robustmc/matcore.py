@@ -220,8 +220,52 @@ def frobenius_norm_sq(m) -> float:
     return float(np.sum(m * m))
 
 
-def _raw_svd(m: np.ndarray):
-    """Full thin SVD with a slower-but-sturdier LAPACK driver as fallback."""
+# The shrinkage step tries a partial SVD only on matrices whose shorter side
+# is at least PARTIAL_MIN_SIDE, asks for PARTIAL_MARGIN more triplets than
+# the previous iterate kept, and gives up once PARTIAL_SHARE times the number
+# asked for exceeds the shorter side: past that, PROPACK is no faster than a
+# full SVD.
+PARTIAL_MIN_SIDE = 200
+PARTIAL_MARGIN = 5
+PARTIAL_SHARE = 8
+
+
+def _partial_svd(m: np.ndarray, gamma: float, rank: int):
+    """Leading singular triplets of ``m``, descending, down to one at or
+    below ``gamma``; None when PROPACK fails or too many would be needed.
+
+    Every singular value left out is at most the smallest one returned, so
+    soft-thresholding the returned spectrum by ``gamma`` is exact.
+    """
+    # imported here, not at module level: it costs about 25 ms and 2.3 MiB
+    # per process, which runs that never take a partial SVD should not pay
+    from scipy.sparse.linalg import svds
+
+    k = rank + PARTIAL_MARGIN
+    while PARTIAL_SHARE * k <= min(m.shape):
+        try:
+            u, s, vt = svds(m, k, solver="propack", rng=np.random.default_rng(0))
+        except np.linalg.LinAlgError:
+            return None
+        if s.min() <= gamma:
+            order = np.argsort(s, kind="stable")[::-1]
+            return u[:, order], s[order], vt[order]
+        k *= 2
+    return None
+
+
+def _raw_svd(m: np.ndarray, gamma=None, rank: int = 0):
+    """Thin SVD of ``m``, with a slower-but-sturdier LAPACK driver as fallback.
+
+    Given a positive ``gamma`` and a matrix whose shorter side is at least
+    PARTIAL_MIN_SIDE, first tries a partial SVD that returns only the
+    triplets a soft threshold at ``gamma`` can keep, plus one at or below
+    it; ``rank`` (the previous iterate's kept count) sizes the first try.
+    """
+    if gamma is not None and gamma > 0 and min(m.shape) >= PARTIAL_MIN_SIDE:
+        partial = _partial_svd(m, gamma, rank)
+        if partial is not None:
+            return partial
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -251,19 +295,22 @@ def svd(m) -> SvdFactors:
     return SvdFactors(u, s, vt.T)
 
 
-def shrink_singular_values(m: np.ndarray, gamma: float):
+def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     """Soft-threshold the spectrum of ``m`` by ``gamma``.
 
     Returns ``(out, shrunk)`` where ``shrunk`` holds the thresholded singular
-    values of ``m`` (these are exactly the singular values of ``out``).  With
-    ``gamma`` = 0 the input is returned unchanged, bit for bit, so that a
-    zero-shrinkage step is an exact identity.
+    values of ``m`` (these are exactly the singular values of ``out``).  On a
+    large matrix only the leading part of the spectrum may be computed (see
+    `_raw_svd`, which ``rank`` hints), so ``shrunk`` can be shorter than the
+    shorter side; the values it leaves out are all zero.  With ``gamma`` = 0
+    the input is returned unchanged, bit for bit, so that a zero-shrinkage
+    step is an exact identity.
     """
     if gamma < 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")
     if not m.any():
         return np.zeros_like(m, dtype=float), np.zeros(min(m.shape))
-    u, s, vt = _raw_svd(m)
+    u, s, vt = _raw_svd(m, gamma, rank)
     shrunk = np.maximum(s - gamma, 0.0)
     if gamma == 0.0:
         return np.array(m, dtype=float, copy=True), shrunk

@@ -22,6 +22,7 @@ from .errors import DataValidationError
 from .matcore import ObservationMask, Problem, as_matrix
 
 MISSING_TOKEN = "NA"
+_MISSING = ("", MISSING_TOKEN)
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -40,6 +41,24 @@ def atomic_write_bytes(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _bad_cell(path, r, fields):
+    """The error for the first cell of row ``r`` (which has one) that is not
+    a finite number."""
+    for cidx, field in enumerate(fields):
+        if field in _MISSING:
+            continue
+        try:
+            v = float(field)
+        except ValueError:
+            return DataValidationError(
+                f"{path}: row {r + 1}, column {cidx + 1}: cannot parse {field!r}"
+            )
+        if not np.isfinite(v):
+            return DataValidationError(
+                f"{path}: row {r + 1}, column {cidx + 1}: non-finite value {field!r}"
+            )
 
 
 def read_matrix_csv(path, header: bool = False) -> Problem:
@@ -62,30 +81,17 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
             raise DataValidationError(
                 f"{path}: row {r + 1} has {len(fields)} fields, expected {width}"
             )
-        vrow = []
-        orow = []
-        for cidx, field in enumerate(fields):
-            if field == "" or field == MISSING_TOKEN:
-                vrow.append(0.0)
-                orow.append(False)
-                continue
-            try:
-                v = float(field)
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: row {r + 1}, column {cidx + 1}: cannot parse {field!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise DataValidationError(
-                    f"{path}: row {r + 1}, column {cidx + 1}: non-finite value {field!r}"
-                )
-            vrow.append(v)
-            orow.append(True)
-        values.append(vrow)
-        observed.append(orow)
-    return Problem(
-        np.asarray(values, dtype=float), ObservationMask(np.asarray(observed, dtype=bool))
-    )
+        try:
+            values.append([0.0 if f in _MISSING else float(f) for f in fields])
+        except ValueError:
+            raise _bad_cell(path, r, fields) from None
+        observed.append([f not in _MISSING for f in fields])
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r = int(np.argmin(finite.all(axis=1)))
+        raise _bad_cell(path, r, [f.strip() for f in rows[r].split(",")])
+    return Problem(values, ObservationMask(np.asarray(observed, dtype=bool)))
 
 
 def format_matrix_csv(m, mask: ObservationMask = None) -> str:

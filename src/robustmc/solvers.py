@@ -231,15 +231,16 @@ def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
 
 
 def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
-           nuc: float, epsilon: float, max_iters: int, svds: int = 0):
+           nuc: float, rank: int, epsilon: float, max_iters: int, svds: int = 0):
     """One shrinkage stage at a fixed gamma from the warm start y, whose
-    nuclear norm is nuc.
+    nuclear norm is nuc and whose spectrum keeps rank nonzero values.
 
     Each step fills the observed entries with P(X) (squared loss, c=None)
     or with Huber surrogates for cutoff c, keeps y elsewhere and
     soft-thresholds the spectrum, until the squared relative change drops
     below epsilon.  `svds` counts SVDs already charged to the stage.  Also
-    returns the nuclear norm of y_hat, so the next stage needs no SVD.
+    returns the nuclear norm and the kept count of y_hat, so the next stage
+    needs no SVD and can size a partial one.
     """
     x = problem.values
     flags = problem.mask.flags
@@ -249,9 +250,9 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     shrunk = np.zeros(0)
     for it in range(1, max_iters + 1):
         fill = x if c is None else pseudo_data(x, y, problem.mask, c)
-        y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma)
+        y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma, rank)
         svds += 1
-        nuc = float(shrunk.sum())
+        nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
         trace.append(_objective(x, flags, y_new, gamma, c, nuc))
         done = _rel_change_sq(y_new, y) < epsilon
         y = y_new
@@ -260,7 +261,7 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
             converged = True
             break
     return Solution(y, gamma, iterations, svds, tuple(trace),
-                    _rank_from_values(shrunk), converged, c), nuc
+                    _rank_from_values(shrunk), converged, c), nuc, rank
 
 
 def _path(problem: Problem, config: SolverConfig, robust: bool) -> PathSolution:
@@ -268,14 +269,14 @@ def _path(problem: Problem, config: SolverConfig, robust: bool) -> PathSolution:
     gammas = config.gamma_path if config.gamma_path is not None else default_gamma_path(problem)
     if robust:
         y, shrunk = shrink_singular_values(problem.values, gammas[0])
-        nuc, svds = float(shrunk.sum()), 1
+        nuc, rank, svds = float(shrunk.sum()), np.count_nonzero(shrunk), 1
     else:
-        y, nuc, svds = np.zeros(problem.shape), 0.0, 0
+        y, nuc, rank, svds = np.zeros(problem.shape), 0.0, 0, 0
     sols = []
     for gamma in gammas:
         c = _cutoff(config, problem, gamma) if robust else None
-        sol, nuc = _stage(problem, gamma, c, y, nuc, config.epsilon,
-                          config.max_inner_iters, svds)
+        sol, nuc, rank = _stage(problem, gamma, c, y, nuc, rank, config.epsilon,
+                                config.max_inner_iters, svds)
         y, svds = sol.y_hat, 0
         sols.append(sol)
     return PathSolution(tuple(sols))
@@ -303,7 +304,7 @@ def soft_impute(problem: Problem, gamma: float, y_init=None,
         if y.shape != problem.shape:
             raise DimensionMismatchError(f"y_init shape {y.shape} != problem shape {problem.shape}")
         nuc = nuclear_norm(y)
-    return _stage(problem, gamma, None, y, nuc, epsilon, max_iters)[0]
+    return _stage(problem, gamma, None, y, nuc, 0, epsilon, max_iters)[0]
 
 
 def soft_impute_path(problem: Problem, config: Optional[SolverConfig] = None) -> PathSolution:
@@ -329,23 +330,30 @@ def general_robust(problem: Problem, gamma: float,
         raise DataValidationError(f"gamma must be positive, got {gamma}")
     config = config if config is not None else SolverConfig()
     c = _cutoff(config, problem, gamma)
-    if completer is None:
-        def completer(prob, g, y0):
-            return soft_impute(prob, g, y0, config.epsilon, config.max_inner_iters)
+
+    def complete(prob, y0, nuc, rank):
+        """(Solution, nuclear norm of its y_hat, kept count) from warm start y0."""
+        if completer is None:
+            # squared-loss stage; it hands out the nuclear norm it already has
+            return _stage(prob, gamma, None, np.zeros(prob.shape) if y0 is None else y0,
+                          nuc, rank, config.epsilon, config.max_inner_iters)
+        sol = completer(prob, gamma, y0)
+        return sol, nuclear_norm(sol.y_hat), 0
+
     x = problem.values
     flags = problem.mask.flags
-    inner = completer(problem, gamma, None)
+    inner, nuc, rank = complete(problem, None, 0.0, 0)
     y = np.asarray(inner.y_hat, dtype=float)
     svds = inner.svd_count
-    trace = [_objective(x, flags, y, gamma, c, nuclear_norm(y))]
+    trace = [_objective(x, flags, y, gamma, c, nuc)]
     converged = False
     iterations = 0
     for it in range(1, config.max_outer_iters + 1):
         z = pseudo_data(x, y, problem.mask, c)
-        inner = completer(Problem(z, problem.mask), gamma, y)
+        inner, nuc, rank = complete(Problem(z, problem.mask), y, nuc, rank)
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
-        trace.append(_objective(x, flags, y_new, gamma, c, nuclear_norm(y_new)))
+        trace.append(_objective(x, flags, y_new, gamma, c, nuc))
         done = _rel_change_sq(y_new, y) < config.epsilon
         y = y_new
         iterations = it

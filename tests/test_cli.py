@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 
 from robustmc import ObservationMask
@@ -61,6 +62,23 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "complete"
         assert "config" in manifest and "resolved_gamma_path" in manifest
+
+    def test_manifest_records_the_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        src = tmp_path / "in.csv"
+        write_fixture_csv(src)
+        out = tmp_path / "out"
+        assert main(["complete", str(src), "--gamma-count", "3", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
 
     @pytest.mark.parametrize("flags,cutoff", [(["--c", "0.5"], 0.5), (["--no-robust"], None)])
     def test_diagnostics_report_the_cutoff_used(self, tmp_path, flags, cutoff):

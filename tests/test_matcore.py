@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from robustmc import (
     DataValidationError,
@@ -16,7 +17,8 @@ from robustmc import (
     svd_soft_threshold,
 )
 
-from robustmc.matcore import _raw_svd
+from robustmc import matcore
+from robustmc.matcore import _raw_svd, shrink_singular_values
 
 from oracles import gram_singular_values, prox_objective, prox_nuclear_oracle
 
@@ -276,3 +278,87 @@ class TestSvdSoftThreshold:
         for _ in range(100):
             y = best + rng.standard_normal(m.shape) * rng.choice([1e-3, 0.1, 1.0])
             assert prox_objective(m, y, gamma) >= best_val - 1e-12
+
+
+def _low_rank_plus_noise(seed, n=240, rank=5, noise=0.1):
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    return signal + noise * rng.standard_normal((n, n))
+
+
+def _dense_shrink(monkeypatch, m, gamma, rank=0):
+    """The same shrinkage with the partial-SVD branch switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(matcore, "PARTIAL_MIN_SIDE", 10 ** 9)
+        return shrink_singular_values(m, gamma, rank)
+
+
+class TestPartialSvd:
+    # gamma 3 sits above all the noise values but one (about 3.04), so six
+    # values survive and the first tries of k are too small
+    GAMMA = 3.0
+
+    def _assert_matches_dense(self, got, want):
+        (out, shrunk), (ref, ref_shrunk) = got, want
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.count_nonzero(shrunk) == np.count_nonzero(ref_shrunk)
+        assert abs(shrunk.sum() - ref_shrunk.sum()) <= 1e-12 * ref_shrunk.sum()
+
+    def test_matches_the_dense_prox(self, monkeypatch):
+        m = _low_rank_plus_noise(14)
+        got = shrink_singular_values(m, self.GAMMA, 6)
+        assert got[1].size < min(m.shape)  # the partial branch was taken
+        assert got[1].min() == 0.0         # and it reached the threshold
+        self._assert_matches_dense(got, _dense_shrink(monkeypatch, m, self.GAMMA))
+
+    def test_partial_triplets_come_in_descending_order(self):
+        m = _low_rank_plus_noise(20)
+        u, s, vt = _raw_svd(m, self.GAMMA, 6)
+        assert s.size < min(m.shape) and s[-1] <= self.GAMMA
+        assert np.all(np.diff(s) <= 0)
+        assert np.allclose(m @ vt.T, u * s, atol=1e-10 * s[0])
+
+    def test_too_small_rank_hint_grows_k(self, monkeypatch):
+        m = _low_rank_plus_noise(15)
+        asked = []
+        real = scipy.sparse.linalg.svds
+
+        def spy(a, k, *args, **kwargs):
+            asked.append(k)
+            return real(a, k, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", spy)
+        got = shrink_singular_values(m, self.GAMMA, 0)
+        assert asked == [5, 10]
+        monkeypatch.undo()
+        self._assert_matches_dense(got, _dense_shrink(monkeypatch, m, self.GAMMA))
+
+    def test_propack_failure_falls_back_to_lapack(self, monkeypatch):
+        m = _low_rank_plus_noise(16)
+        want = _dense_shrink(monkeypatch, m, self.GAMMA)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", _fail_svd)
+        out, shrunk = shrink_singular_values(m, self.GAMMA, 6)
+        assert shrunk.size == min(m.shape)
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    def test_too_many_survivors_fall_back_to_lapack(self, monkeypatch):
+        m = _low_rank_plus_noise(17)
+        out, shrunk = shrink_singular_values(m, 0.01, 0)  # every value survives
+        want = _dense_shrink(monkeypatch, m, 0.01)
+        assert shrunk.size == min(m.shape)
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    def test_reruns_are_bitwise_equal(self):
+        m = _low_rank_plus_noise(18)
+        a = shrink_singular_values(m, self.GAMMA, 0)
+        b = shrink_singular_values(m, self.GAMMA, 0)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_small_matrices_stay_on_the_full_svd(self, monkeypatch):
+        def no_partial(*args, **kwargs):
+            raise AssertionError("partial SVD taken on a 199-side matrix")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_partial)
+        m = _low_rank_plus_noise(19, n=199)
+        _, shrunk = shrink_singular_values(m, self.GAMMA, 6)
+        assert shrunk.size == 199

@@ -71,6 +71,43 @@ class TestMatrixCsv:
         with pytest.raises(DataValidationError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("cell,problem", [
+        ("nan", "non-finite value 'nan'"),
+        ("-inf", "non-finite value '-inf'"),
+        ("1e999", "non-finite value '1e999'"),
+        ("apple", "cannot parse 'apple'"),
+        ("1.5.2", "cannot parse '1.5.2'"),
+    ])
+    def test_bad_cell_reported_with_its_row_and_column(self, tmp_path, cell, problem):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2,3\n4,,NA\n5,6,{cell}\n7,8,9\n")
+        with pytest.raises(DataValidationError, match=f"row 3, column 3: {problem}"):
+            read_matrix_csv(path)
+
+    def test_first_non_finite_cell_is_reported(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n4,5,inf\n6,nan,7\n")
+        with pytest.raises(DataValidationError, match="row 2, column 3"):
+            read_matrix_csv(path)
+
+    def test_large_mixed_file_round_trips(self, tmp_path):
+        rng = np.random.default_rng(74)
+        m = rng.standard_normal((300, 250)) * np.exp(rng.uniform(-30, 30, (300, 250)))
+        m[::7, ::5] = -0.0
+        flags = rng.random(m.shape) < 0.5
+        mask = ObservationMask(flags)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.where(flags, m, 0.0), mask)
+        text = path.read_text().splitlines()
+        # NA tokens and padded cells mean the same as empty and bare ones
+        text[0] = ",".join(f" {cell} " if cell else "NA" for cell in text[0].split(","))
+        path.write_text("\n".join(text) + "\n")
+        prob = read_matrix_csv(path)
+        want = np.where(flags, m, 0.0)
+        assert prob.mask == mask
+        assert np.array_equal(prob.values, want)
+        assert np.array_equal(np.signbit(prob.values), np.signbit(want))
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("\n")

@@ -306,13 +306,62 @@ class TestStageKernel:
         calls = []
         raw_svd = matcore._raw_svd
 
-        def counted(m):
+        def counted(m, *args, **kwargs):
             calls.append(m.shape)
-            return raw_svd(m)
+            return raw_svd(m, *args, **kwargs)
 
         monkeypatch.setattr(matcore, "_raw_svd", counted)
         path = solve(prob, cfg)
         assert len(calls) == path.total_svd_count
+
+    @pytest.mark.parametrize("solve", [soft_impute_path, robust_impute])
+    def test_every_partial_svd_is_counted(self, solve, monkeypatch):
+        _, prob = make_instance(51, n1=240, n2=210, rank=3, outlier_frac=0.05)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 3))
+        calls = []
+        raw_svd = matcore._raw_svd
+        partial = []
+        real_partial = matcore._partial_svd
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return raw_svd(m, *args, **kwargs)
+
+        def spied(*args):
+            result = real_partial(*args)
+            partial.append(result is not None)
+            return result
+
+        monkeypatch.setattr(matcore, "_raw_svd", counted)
+        monkeypatch.setattr(matcore, "_partial_svd", spied)
+        path = solve(prob, cfg)
+        assert any(partial)
+        assert len(calls) == path.total_svd_count
+
+    def test_large_robust_path_matches_the_dense_path(self, monkeypatch):
+        _, prob = make_instance(52, n1=240, n2=240, rank=5, outlier_frac=0.05)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 5, bottom_scale=0.05))
+        path = robust_impute(prob, cfg)
+        monkeypatch.setattr(matcore, "PARTIAL_MIN_SIDE", 10 ** 9)
+        dense = robust_impute(prob, cfg)
+        for got, want in zip(path, dense):
+            assert got.iterations == want.iterations
+            assert got.final_rank == want.final_rank
+            assert np.allclose(got.objective_trace, want.objective_trace, rtol=1e-10, atol=0)
+
+    def test_default_general_robust_counts_every_svd(self, monkeypatch):
+        _, prob = make_instance(53, n1=40, n2=30, rank=3, outlier_frac=0.1)
+        calls = []
+        raw_svd = matcore._raw_svd
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return raw_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(matcore, "_raw_svd", counted)
+        sol = general_robust(prob, 2.0)
+        assert sol.iterations > 1
+        assert len(calls) == sol.svd_count
 
     def test_cutoff_follows_the_rule_per_stage(self):
         _, prob = make_instance(49, outlier_frac=0.1)

@@ -64,6 +64,7 @@ from .experiments import (
     generate_synthetic,
     replicate_seed,
     run_benchmark,
+    score_path,
     solve_path,
     summarize_by_rank,
     test_error,

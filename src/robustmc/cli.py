@@ -26,16 +26,16 @@ import scipy
 from . import __version__
 from .errors import RobustMcError
 from .experiments import (
+    BenchResult,
     MissingSpec,
-    PathRecord,
     SyntheticSpec,
     degrade_image,
     replicate_seed,
     run_benchmark,
+    score_path,
     solve_path,
-    summarize_by_rank,
     test_error,
-    training_error,
+    training_error,  # unused here; the layer tracer in bench/ binds this name
 )
 from .matio import (
     atomic_write_text,
@@ -359,8 +359,6 @@ def cmd_inpaint(args) -> int:
         raise _UsageError("--replicates must be >= 1")
     methods = _methods_from(args)
     records = {m: [] for m in methods}
-    best = {m: [] for m in methods}
-    paths = []
     first_instance = None
     first_recovered = {}
     for rep in range(args.replicates):
@@ -372,36 +370,22 @@ def cmd_inpaint(args) -> int:
             first_instance = inst
         for m in methods:
             path = _solve_path(m, problem, gammas, args)
-            paths.append(path)
-            errs = []
-            for gi, sol in enumerate(path):
-                tr = training_error(inst, sol.y_hat)
-                te = _image_test_error(inst, sol.y_hat)
-                errs.append(te)
-                records[m].append(PathRecord(rep, gi, sol.gamma, sol.final_rank,
-                                             tr, te, sol.svd_count, sol.converged))
-            best[m].append(min(errs))
+            scored = score_path(inst, rep, path, _image_test_error)
+            records[m] += scored
             if rep == 0:
-                first_recovered[m] = path[int(np.argmin(errs))].y_hat
+                first_recovered[m] = path[int(np.argmin([r.test_error for r in scored]))].y_hat
+    results = {m: BenchResult(args.image, m, args.replicates, tuple(records[m]), ())
+               for m in methods}
     write_pgm(os.path.join(out_dir, "degraded.pgm"),
               np.where(first_instance.mask.flags, first_instance.x, 0.0))
     for m, y in first_recovered.items():
         write_pgm(os.path.join(out_dir, f"recovered_{m}.pgm"), y)
-    table = []
-    for rank in ranks:
-        row = {"rank": rank, "methods": {}}
-        for m in methods:
-            summaries = {s.rank: s for s in summarize_by_rank(records[m])}
-            s = summaries.get(rank)
-            row["methods"][m] = None if s is None else {
-                "n": s.n,
-                "mean_training_error": s.mean_training_error,
-                "se_training_error": s.se_training_error,
-                "mean_test_error": s.mean_test_error,
-                "se_test_error": s.se_test_error,
-                "mean_svd_count": s.mean_svd_count,
-            }
-        table.append(row)
+    # errors.json leaves out each summary's rank and its SVD count's standard error
+    cells = {m: {s.rank: {k: v for k, v in dataclasses.asdict(s).items()
+                          if k not in ("rank", "se_svd_count")}
+                 for s in res.rank_summaries()} for m, res in results.items()}
+    table = [{"rank": rank, "methods": {m: cells[m].get(rank) for m in methods}}
+             for rank in ranks]
     _write_json(os.path.join(out_dir, "errors.json"), {
         "image": args.image,
         "mechanism": missing.mode,
@@ -411,10 +395,10 @@ def cmd_inpaint(args) -> int:
         "outlier_snr": args.outlier_snr,
         "replicates": args.replicates,
         "ranks": table,
-        "mean_best_test_error": {m: float(np.mean(v)) for m, v in best.items()},
+        "mean_best_test_error": {m: res.mean_best_test_error for m, res in results.items()},
     })
     _write_manifest(out_dir, "inpaint", args)
-    return _convergence_exit(args, all(p.all_converged for p in paths))
+    return _convergence_exit(args, all(r.converged for m in methods for r in records[m]))
 
 
 def main(argv=None) -> int:

@@ -385,6 +385,21 @@ def solve_path(method: str, problem: Problem, config: SolverConfig) -> PathSolut
     raise DataValidationError(f"unknown method {method!r}")
 
 
+def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution,
+               score=None) -> list:
+    """One PathRecord per stage of `path`, in order.
+
+    Each holds the stage's training error and, as its test error,
+    `score(instance, y_hat)`.  `score` defaults to `test_error`, looked up at
+    call time so that a wrapper bound to that module name sees each call.
+    """
+    score = score or test_error
+    return [PathRecord(replicate, gi, sol.gamma, sol.final_rank,
+                       training_error(instance, sol.y_hat), score(instance, sol.y_hat),
+                       sol.svd_count, sol.converged)
+            for gi, sol in enumerate(path)]
+
+
 def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
                   replicates: int, seed: int,
                   gamma_count: int = 20, epsilon: float = 1e-5,
@@ -415,18 +430,7 @@ def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
                                   max_inner_iters=max_inner_iters)
             for m in methods:
                 try:
-                    path = solve_path(m, problem, config)
-                    for gi, sol in enumerate(path):
-                        records[m].append(PathRecord(
-                            replicate=rep,
-                            gamma_index=gi,
-                            gamma=sol.gamma,
-                            fitted_rank=sol.final_rank,
-                            training_error=training_error(inst, sol.y_hat),
-                            test_error=test_error(inst, sol.y_hat),
-                            svd_count=sol.svd_count,
-                            converged=sol.converged,
-                        ))
+                    records[m] += score_path(inst, rep, solve_path(m, problem, config))
                 except (RobustMcError, np.linalg.LinAlgError) as exc:
                     failures[m].append((rep, str(exc)))
         for m in methods:

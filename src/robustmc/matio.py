@@ -63,8 +63,14 @@ def _bad_cell(path, r, fields):
 
 def read_matrix_csv(path, header: bool = False) -> Problem:
     """Parse a matrix CSV into a Problem (empty/NA cells are unobserved)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+        ) from None
     if header and lines:
         lines = lines[1:]
     rows = [line for line in lines if line.strip() != ""]

@@ -20,6 +20,7 @@ non-increasing, plus the number of spectral-shrinkage SVDs performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -184,10 +185,18 @@ def _masked_residual(x, flags, y):
 
 
 def _objective(x, flags, y, gamma, c, nuc):
-    """Squared-loss objective for c=None, Huber objective otherwise."""
+    """Squared-loss objective for c=None, Huber objective otherwise.
+
+    Every trace value comes from here, so this is where a finite input too
+    large for float64 is caught, before it yields an inf trace.
+    """
     r = _masked_residual(x, flags, y)
     loss = float(np.sum(r * r)) if c is None else huber_norm_sq(r, c)
-    return 0.5 * loss + gamma * nuc
+    value = 0.5 * loss + gamma * nuc
+    if not math.isfinite(value):
+        raise DataValidationError(
+            f"objective overflowed float64 at gamma {gamma:g}; rescale the input")
+    return value
 
 
 def _cutoff(config, problem, gamma):

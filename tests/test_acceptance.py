@@ -41,6 +41,8 @@ from robustmc.cli import main as cli_main
 
 from oracles import prox_nuclear_oracle
 
+pytestmark = pytest.mark.slow
+
 MASTER_SEED = 20260809
 LENA_PATH = os.path.join(os.path.dirname(__file__), "data", "lena_256.pgm")
 

@@ -233,6 +233,20 @@ class TestExitCodes:
         src.write_text("NA,NA\nNA,NA\n")
         assert main(["complete", str(src), "--out-dir", str(tmp_path)]) == 2
 
+    def test_data_error_on_non_utf8_csv(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        assert main(["complete", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_data_error_on_objective_overflow(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("1,2\n3,1e200\n")
+        out = tmp_path / "out"
+        assert main(["complete", str(src), "--allow-nonconverged", "--out-dir", str(out)]) == 2
+        assert "overflowed" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
     def test_data_error_when_both_svd_drivers_fail(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -9,12 +9,15 @@ from robustmc import (
     GroundTruthInstance,
     MissingSpec,
     ObservationMask,
+    SolverConfig,
     SyntheticSpec,
     clustered_mask,
     degrade_image,
     generate_synthetic,
     replicate_seed,
     run_benchmark,
+    score_path,
+    soft_impute_path,
     training_error,
 )
 from robustmc import test_error as metric_test_error
@@ -229,6 +232,53 @@ class TestReplicateSeed:
         assert s == replicate_seed(42, 0, 0)
         others = {replicate_seed(42, i, j) for i in range(3) for j in range(10)}
         assert len(others) == 30
+
+
+class TestScorePath:
+    @pytest.fixture
+    def scored(self):
+        inst = generate_synthetic(SyntheticSpec(12, 10, 2, 2.0, 0.1, 0.4, seed=9))
+        path = soft_impute_path(inst.problem(), SolverConfig(gamma_path=(4.0, 2.0, 1.0)))
+        return inst, path
+
+    def test_one_record_per_stage_in_order(self, scored):
+        inst, path = scored
+        records = score_path(inst, 3, path)
+        assert [r.gamma_index for r in records] == [0, 1, 2]
+        for rec, sol in zip(records, path):
+            assert rec.replicate == 3
+            assert rec.gamma == sol.gamma
+            assert rec.fitted_rank == sol.final_rank
+            assert rec.svd_count == sol.svd_count
+            assert rec.converged == sol.converged
+            assert rec.training_error == training_error(inst, sol.y_hat)
+            assert rec.test_error == metric_test_error(inst, sol.y_hat)
+
+    def test_custom_score_is_used(self, scored):
+        inst, path = scored
+        seen = []
+
+        def score(instance, y_hat):
+            seen.append((instance, y_hat))
+            return 10.0 * len(seen)
+
+        records = score_path(inst, 0, path, score)
+        assert [r.test_error for r in records] == [10.0, 20.0, 30.0]
+        assert all(i is inst and y is sol.y_hat for (i, y), sol in zip(seen, path))
+        assert [r.training_error for r in records] == [r.training_error
+                                                      for r in score_path(inst, 0, path)]
+
+    def test_custom_score_covers_a_fully_observed_instance(self):
+        # test_error has nothing to score without unobserved entries
+        inst = generate_synthetic(SyntheticSpec(8, 8, 2, 2.0, 0.1, 0.0, seed=10))
+        path = soft_impute_path(inst.problem(), SolverConfig(gamma_path=(3.0, 1.0)))
+        with pytest.raises(DataValidationError):
+            score_path(inst, 0, path)
+
+        def clean_error(instance, y_hat):
+            return float(np.sum((instance.x0 - y_hat) ** 2))
+
+        assert len(score_path(inst, 0, path, clean_error)) == 2
 
 
 class TestRunBenchmark:

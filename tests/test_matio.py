@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robustmc import DataValidationError, ObservationMask
 from robustmc.matio import (
@@ -114,6 +115,12 @@ class TestMatrixCsv:
         with pytest.raises(DataValidationError):
             read_matrix_csv(path)
 
+    def test_non_utf8_rejected_with_byte_offset(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n3,\xff4\n")
+        with pytest.raises(DataValidationError, match=r"m\.csv: not UTF-8 .*byte offset 6"):
+            read_matrix_csv(path)
+
     def test_format_without_mask_has_no_blanks(self):
         text = format_matrix_csv(np.array([[1.0, -2.5]]))
         assert text == "1.0,-2.5\n"
@@ -181,3 +188,50 @@ class TestPgm:
         img = read_pgm(path)
         assert img.shape == (2, 3)
         assert img[1, 2] == pytest.approx(5 / 255)
+
+
+# Fuzzing: whatever the bytes, a reader returns or raises DataValidationError.
+_CSV_CELLS = ["1", "-2.5", " 3 ", "", "NA", "na", "1e-300", "1e999", "nan", "-inf",
+              "0x1", "1_0", "x", "\x00", "\u00e9"]
+_near_valid_csv = st.lists(
+    st.lists(st.sampled_from(_CSV_CELLS), min_size=1, max_size=4),
+    max_size=4,
+).flatmap(lambda rows: st.sampled_from(["\n", "\r\n", "\r"]).map(
+    lambda eol: eol.join(",".join(r) for r in rows).encode("utf-8")))
+
+_PGM_TOKENS = [b"0", b"1", b"2", b"3", b"255", b"256", b"-1", b"x", b"99999999999"]
+_pgm_token = st.sampled_from(_PGM_TOKENS)
+_pgm_raster = st.one_of(
+    st.binary(max_size=12),
+    st.lists(st.integers(-1, 300), max_size=10).map(
+        lambda v: b" ".join(str(i).encode() for i in v)),
+)
+_near_valid_pgm = st.builds(
+    lambda magic, w, h, sep, maxval, raster: magic + b"\n" + w + b" " + h + sep + maxval
+    + b"\n" + raster,
+    st.sampled_from([b"P2", b"P5", b"P6", b""]), _pgm_token, _pgm_token,
+    st.sampled_from([b" ", b"\n", b"\n# comment\n", b"#", b""]), _pgm_token, _pgm_raster,
+)
+
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _reads_or_rejects(reader, path, data):
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except DataValidationError:
+        pass
+
+
+class TestReaderFuzz:
+    @_fuzz
+    @given(data=st.one_of(st.binary(max_size=48), _near_valid_csv))
+    def test_csv_reader_returns_or_rejects(self, tmp_path, data):
+        _reads_or_rejects(read_matrix_csv, tmp_path / "f.csv", data)
+
+    @_fuzz
+    @given(data=st.one_of(st.binary(max_size=48), _near_valid_pgm))
+    def test_pgm_reader_returns_or_rejects(self, tmp_path, data):
+        _reads_or_rejects(read_pgm, tmp_path / "f.pgm", data)

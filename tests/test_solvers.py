@@ -376,6 +376,28 @@ class TestStageKernel:
         assert soft_impute(prob, gammas[0]).cutoff is None
 
 
+class TestObjectiveOverflow:
+    """Finite entries near 1e307 overflow the squared residual: the solvers
+    raise instead of returning an inf objective trace."""
+
+    @pytest.fixture
+    def huge(self):
+        _, prob = make_instance(91)
+        return Problem(prob.values * (1e307 / np.abs(prob.values).max()), prob.mask)
+
+    def test_soft_impute_path_raises(self, huge):
+        with pytest.raises(DataValidationError, match="overflowed float64.*rescale"):
+            soft_impute_path(huge, SolverConfig(gamma_path=(1e306, 1e305)))
+
+    def test_robust_impute_raises(self, huge):
+        with pytest.raises(DataValidationError, match="overflowed float64.*rescale"):
+            robust_impute(huge, SolverConfig(gamma_path=(1e306, 1e305)))
+
+    def test_general_robust_raises(self, huge):
+        with pytest.raises(DataValidationError, match="overflowed float64.*rescale"):
+            general_robust(huge, 1e306)
+
+
 class TestStationarityCertificate:
     def test_passes_at_converged_solution(self):
         _, prob = make_instance(44, outlier_frac=0.1)

@@ -7,13 +7,20 @@ manifest.json carrying the fully resolved configuration, the tool version,
 the master seed and the numeric environment (numpy and scipy versions, BLAS
 thread variables), which is sufficient to reproduce the outputs exactly.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 at least one solve
-did not converge and --allow-nonconverged was absent.
+Flag values are checked before any input is read, by building the library
+types they describe (SolverConfig, SyntheticSpec, MissingSpec); every value
+rejected there, or by the few rules only the CLI has, is a usage error.
+
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
+non-UTF-8 input, an observed matrix that is all zero, an objective that
+overflows float64, an SVD that fails), 3 at least one solve did not converge
+and --allow-nonconverged was absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -24,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import RobustMcError
+from .errors import DataValidationError, RobustMcError
 from .experiments import (
     BenchResult,
     MissingSpec,
@@ -139,45 +146,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text, flag):
+@contextlib.contextmanager
+def _flag_values():
+    """A library type built from flag values rejects them as a usage error."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"{flag}: cannot parse {text!r}") from None
-    if not values:
-        raise _UsageError(f"{flag}: empty list")
-    return values
+        yield
+    except DataValidationError as exc:
+        raise _UsageError(str(exc)) from None
 
 
-def _resolve_gammas(args, problem):
+def _solver_config(args, robust) -> SolverConfig:
+    """The SolverConfig the solver flags describe, built before any input is
+    read.  Its gamma path is None when the input sets it: for the automatic
+    path and for --gamma 0, which only squared loss takes."""
     if args.gamma is not None and args.gamma_path is not None:
         raise _UsageError("--gamma and --gamma-path are mutually exclusive")
-    if args.gamma is not None:
-        if args.gamma < 0:
-            raise _UsageError("--gamma must be >= 0")
-        return [float(args.gamma)]
-    if args.gamma_path is not None:
-        gammas = _parse_float_list(args.gamma_path, "--gamma-path")
-        if any(b >= a for a, b in zip(gammas, gammas[1:])):
-            raise _UsageError("--gamma-path must be strictly decreasing")
-        if any(g <= 0 for g in gammas):
-            raise _UsageError("--gamma-path entries must be positive")
-        return gammas
+    if args.gamma == 0 and robust:
+        raise _UsageError("the robust solver needs positive gamma values")
     if args.gamma_count < 1:
         raise _UsageError("--gamma-count must be >= 1")
-    return list(default_gamma_path(problem, args.gamma_count))
+    gammas = None
+    if args.gamma_path is not None:
+        try:
+            gammas = [float(tok) for tok in args.gamma_path.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise _UsageError(f"--gamma-path: cannot parse {args.gamma_path!r}") from None
+    elif args.gamma is not None and args.gamma != 0:
+        gammas = [args.gamma]
+    with _flag_values():
+        return SolverConfig(gamma_path=gammas, cutoff=args.cutoff,
+                            epsilon=args.tol, max_inner_iters=args.max_iters)
 
 
-def _solve_path(method, problem, gammas, args) -> PathSolution:
+def _resolve_gammas(args, config, problem):
+    if args.gamma == 0:
+        return [0.0]
+    return list(config.gamma_path or default_gamma_path(problem, args.gamma_count))
+
+
+def _solve_path(method, problem, gammas, config) -> PathSolution:
     """Solve along `gammas`; squared loss also takes a single gamma of zero."""
     if gammas[0] == 0:
-        if method == "robust":
-            raise _UsageError("the robust solver needs positive gamma values")
-        return PathSolution((soft_impute(problem, gammas[0], None, args.tol, args.max_iters),))
-    config = SolverConfig(gamma_path=tuple(gammas),
-                          cutoff=args.cutoff if method == "robust" else None,
-                          epsilon=args.tol, max_inner_iters=args.max_iters)
-    return solve_path(method, problem, config)
+        return PathSolution((soft_impute(problem, 0.0, None, config.epsilon,
+                                         config.max_inner_iters),))
+    return solve_path(method, problem, dataclasses.replace(config, gamma_path=gammas))
 
 
 def _diagnostics_entries(method, path):
@@ -236,11 +248,12 @@ def _convergence_exit(args, ok) -> int:
 
 
 def cmd_complete(args) -> int:
+    method = "soft" if args.no_robust else "robust"
+    config = _solver_config(args, robust=method == "robust")
     out_dir = _ensure_out_dir(args)
     problem = read_matrix_csv(args.input, header=args.header)
-    gammas = _resolve_gammas(args, problem)
-    method = "soft" if args.no_robust else "robust"
-    path = _solve_path(method, problem, gammas, args)
+    gammas = _resolve_gammas(args, config, problem)
+    path = _solve_path(method, problem, gammas, config)
     write_matrix_csv(os.path.join(out_dir, "completed.csv"), path[-1].y_hat)
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "input": args.input,
@@ -252,10 +265,11 @@ def cmd_complete(args) -> int:
 
 
 def cmd_outliers(args) -> int:
+    config = _solver_config(args, robust=True)
     out_dir = _ensure_out_dir(args)
     problem = read_matrix_csv(args.input, header=args.header)
-    gammas = _resolve_gammas(args, problem)
-    path = _solve_path("robust", problem, gammas, args)
+    gammas = _resolve_gammas(args, config, problem)
+    path = _solve_path("robust", problem, gammas, config)
     sol = path[-1]
     s_hat = extract_sparse(problem, sol.y_hat, sol.cutoff)
     write_matrix_csv(os.path.join(out_dir, "outliers.csv"), s_hat)
@@ -290,18 +304,17 @@ def cmd_simulate(args) -> int:
     if args.gamma is not None or args.gamma_path is not None:
         raise _UsageError("simulate derives a gamma path per replicate; "
                           "set its length with --gamma-count")
-    out_dir = _ensure_out_dir(args)
-    try:
+    config = _solver_config(args, robust=True)
+    methods = _methods_from(args)
+    with _flag_values():
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
                              args.outlier_prob, args.missing_prob, seed=0)
-        if args.replicates < 1:
-            raise _UsageError("--replicates must be >= 1")
-    except RobustMcError as exc:
-        raise _UsageError(str(exc)) from None
-    methods = _methods_from(args)
+        # run_benchmark owns the replicate-count rule; on an empty grid it only checks
+        run_benchmark([], methods, args.replicates, args.seed)
+    out_dir = _ensure_out_dir(args)
     results = run_benchmark([spec], methods, args.replicates, args.seed,
-                            gamma_count=args.gamma_count, epsilon=args.tol,
-                            max_inner_iters=args.max_iters, cutoff=args.cutoff)
+                            gamma_count=args.gamma_count, epsilon=config.epsilon,
+                            max_inner_iters=config.max_inner_iters, cutoff=config.cutoff)
     lines = [BENCH_CSV_HEADER]
     for res in results:
         for rec in res.records:
@@ -341,23 +354,25 @@ def _image_test_error(inst, y):
 
 
 def cmd_inpaint(args) -> int:
-    out_dir = _ensure_out_dir(args)
-    img = read_pgm(args.image)
-    if args.missing == "none":
-        missing = MissingSpec.none()
-    elif args.missing == "independent":
-        missing = MissingSpec.independent(
-            0.4 if args.missing_frac is None else args.missing_frac)
-    else:
-        missing = MissingSpec.clustered(
-            0.1 if args.missing_frac is None else args.missing_frac, args.patch_size)
+    methods = _methods_from(args)
+    config = _solver_config(args, robust="robust" in methods)
+    with _flag_values():
+        if args.missing == "none":
+            missing = MissingSpec.none()
+        elif args.missing == "independent":
+            missing = MissingSpec.independent(
+                0.4 if args.missing_frac is None else args.missing_frac)
+        else:
+            missing = MissingSpec.clustered(
+                0.1 if args.missing_frac is None else args.missing_frac, args.patch_size)
     try:
         ranks = [int(r) for r in str(args.ranks).split(",") if r.strip() != ""]
     except ValueError:
         raise _UsageError(f"--ranks: cannot parse {args.ranks!r}") from None
     if args.replicates < 1:
         raise _UsageError("--replicates must be >= 1")
-    methods = _methods_from(args)
+    out_dir = _ensure_out_dir(args)
+    img = read_pgm(args.image)
     records = {m: [] for m in methods}
     first_instance = None
     first_recovered = {}
@@ -365,11 +380,11 @@ def cmd_inpaint(args) -> int:
         inst = degrade_image(img, args.snr, args.outlier_frac, args.outlier_snr,
                              missing, replicate_seed(args.seed, 0, rep))
         problem = inst.problem()
-        gammas = _resolve_gammas(args, problem)
+        gammas = _resolve_gammas(args, config, problem)
         if first_instance is None:
             first_instance = inst
         for m in methods:
-            path = _solve_path(m, problem, gammas, args)
+            path = _solve_path(m, problem, gammas, config)
             scored = score_path(inst, rep, path, _image_test_error)
             records[m] += scored
             if rep == 0:

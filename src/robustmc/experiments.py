@@ -77,10 +77,8 @@ class GroundTruthInstance:
     sigma: float
 
     def __post_init__(self):
-        x0 = as_matrix(self.x0, "x0")
-        x = as_matrix(self.x, "x")
-        if x0.shape != x.shape or x0.shape != self.mask.shape:
-            raise DataValidationError("x0, x and mask must share a shape")
+        x0 = as_matrix(self.x0, "x0", self.mask.shape)
+        x = as_matrix(self.x, "x", self.mask.shape)
         both = self.outlier_set.flags & self.clean_observed_set.flags
         union = self.outlier_set.flags | self.clean_observed_set.flags
         if both.any() or not np.array_equal(union, self.mask.flags):
@@ -179,9 +177,7 @@ def training_error(instance: GroundTruthInstance, y_hat) -> float:
     Outlier positions are excluded, so a fit dragged toward them scores
     worse here, not better.
     """
-    y_hat = as_matrix(y_hat, "y_hat")
-    if y_hat.shape != instance.x.shape:
-        raise DataValidationError(f"y_hat shape {y_hat.shape} != instance shape {instance.x.shape}")
+    y_hat = as_matrix(y_hat, "y_hat", instance.x.shape)
     gamma_flags = instance.clean_observed_set.flags
     if not gamma_flags.any():
         raise DataValidationError("no clean observed entries to score")
@@ -194,9 +190,7 @@ def training_error(instance: GroundTruthInstance, y_hat) -> float:
 
 def test_error(instance: GroundTruthInstance, y_hat) -> float:
     """Relative squared error on the unobserved entries against the clean target."""
-    y_hat = as_matrix(y_hat, "y_hat")
-    if y_hat.shape != instance.x.shape:
-        raise DataValidationError(f"y_hat shape {y_hat.shape} != instance shape {instance.x.shape}")
+    y_hat = as_matrix(y_hat, "y_hat", instance.x.shape)
     unobs = ~instance.mask.flags
     if not unobs.any():
         raise DataValidationError("no unobserved entries to score")
@@ -237,9 +231,8 @@ def clustered_mask(n_rows: int, n_cols: int, missing_frac: float,
     reaches missing_frac; the observed complement is returned.  Overshoot
     is at most one patch's area.
     """
-    if not 0.0 < missing_frac < 1.0:
-        raise DataValidationError(f"missing_frac must be in (0, 1), got {missing_frac}")
-    return ObservationMask(_grow_patches(_rng(seed), n_rows, n_cols, missing_frac, patch_size))
+    spec = MissingSpec.clustered(missing_frac, patch_size)
+    return ObservationMask(_grow_patches(_rng(seed), n_rows, n_cols, spec.rate, spec.patch_size))
 
 
 def degrade_image(img, snr: float, outlier_frac: float, outlier_snr: float,

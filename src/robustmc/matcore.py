@@ -17,8 +17,12 @@ import scipy.linalg
 from .errors import DataValidationError, DimensionMismatchError, SvdError
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array and reject non-finite entries."""
+def as_matrix(a, name: str = "matrix", shape=None) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float64 array and reject non-finite entries.
+
+    Given ``shape`` (a mask's or a problem's), any other shape raises
+    DimensionMismatchError.
+    """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DataValidationError(f"{name} must be 2-D, got shape {m.shape}")
@@ -26,6 +30,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DataValidationError(f"{name} must have positive dimensions, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DataValidationError(f"{name} contains NaN or Inf entries")
+    if shape is not None and m.shape != shape:
+        raise DimensionMismatchError(f"{name} shape {m.shape} != expected shape {shape}")
     return m
 
 
@@ -148,11 +154,7 @@ class Problem:
     mask: ObservationMask
 
     def __post_init__(self):
-        values = as_matrix(self.values, "values")
-        if values.shape != self.mask.shape:
-            raise DimensionMismatchError(
-                f"values shape {values.shape} != mask shape {self.mask.shape}"
-            )
+        values = as_matrix(self.values, "values", self.mask.shape)
         if self.mask.n_observed == 0:
             raise DataValidationError("a Problem needs at least one observed entry")
         if np.any(values[~self.mask.flags] != 0.0):
@@ -162,10 +164,7 @@ class Problem:
     @classmethod
     def from_full(cls, x, mask: ObservationMask) -> "Problem":
         """Project a fully known matrix onto the mask and wrap it."""
-        x = as_matrix(x, "x")
-        if x.shape != mask.shape:
-            raise DimensionMismatchError(f"matrix shape {x.shape} != mask shape {mask.shape}")
-        return cls(np.where(mask.flags, x, 0.0), mask)
+        return cls(np.where(mask.flags, as_matrix(x, "x", mask.shape), 0.0), mask)
 
     @classmethod
     def from_array_with_missing(cls, a) -> "Problem":

@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataValidationError, DimensionMismatchError
+from .errors import DataValidationError
 from .matcore import Problem, _frozen, as_matrix, nuclear_norm, svd
 from .huber import soft_threshold_scalar
-from .solvers import RANK_TOL, soft_impute
+from .solvers import RANK_TOL, SolverConfig, soft_impute
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,7 @@ class LowRankSparsePair:
 
     def __post_init__(self):
         low_rank = as_matrix(self.low_rank, "low_rank")
-        sparse = as_matrix(self.sparse, "sparse")
-        if low_rank.shape != sparse.shape:
-            raise DimensionMismatchError(
-                f"low_rank shape {low_rank.shape} != sparse shape {sparse.shape}"
-            )
+        sparse = as_matrix(self.sparse, "sparse", low_rank.shape)
         object.__setattr__(self, "low_rank", _frozen(low_rank))
         object.__setattr__(self, "sparse", _frozen(sparse))
 
@@ -78,19 +74,14 @@ def extract_sparse(problem: Problem, l, c: float) -> np.ndarray:
     half the Huber derivative, which is the identity tying the two
     objectives together.
     """
-    l = as_matrix(l, "l")
-    if l.shape != problem.shape:
-        raise DimensionMismatchError(f"l shape {l.shape} != problem shape {problem.shape}")
+    l = as_matrix(l, "l", problem.shape)
     shrunken = soft_threshold_scalar(problem.values - l, c)
     return np.where(problem.mask.flags, shrunken, 0.0)
 
 
 def objective_pcp(problem: Problem, pair: LowRankSparsePair, gamma: float, c: float) -> float:
     """0.5*||P(X) - P(L + S)||_F^2 + gamma*||L||_* + c*||S||_1."""
-    if pair.low_rank.shape != problem.shape:
-        raise DimensionMismatchError(
-            f"pair shape {pair.low_rank.shape} != problem shape {problem.shape}"
-        )
+    as_matrix(pair.low_rank, "pair", problem.shape)
     flags = problem.mask.flags
     if np.any(pair.sparse[~flags] != 0.0):
         raise DataValidationError("sparse part must vanish off the observation mask")
@@ -118,12 +109,9 @@ def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
     """
     gamma = float(gamma)
     c = float(c)
-    if not gamma > 0:
-        raise DataValidationError(f"gamma must be positive, got {gamma}")
-    if not c > 0:
-        raise DataValidationError(f"c must be positive, got {c}")
-    if not epsilon > 0:
-        raise DataValidationError(f"epsilon must be positive, got {epsilon}")
+    # SolverConfig owns the rules for gamma, the cutoff, the tolerance and the caps
+    SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=epsilon,
+                 max_inner_iters=inner_max_iters, max_outer_iters=max_iters)
     if inner_epsilon is None:
         inner_epsilon = epsilon * 1e-2
     x = problem.values

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataValidationError, DimensionMismatchError
+from .errors import DataValidationError
 from .huber import HuberParams, choose_cutoff, huber_norm_sq, pseudo_data, psi
 from .matcore import (
     Problem,
@@ -188,10 +188,12 @@ def _objective(x, flags, y, gamma, c, nuc):
     """Squared-loss objective for c=None, Huber objective otherwise.
 
     Every trace value comes from here, so this is where a finite input too
-    large for float64 is caught, before it yields an inf trace.
+    large for float64 is caught, before it yields an inf trace; numpy's own
+    overflow warning is silenced, since the error below reports it.
     """
     r = _masked_residual(x, flags, y)
-    loss = float(np.sum(r * r)) if c is None else huber_norm_sq(r, c)
+    with np.errstate(over="ignore"):
+        loss = float(np.sum(r * r)) if c is None else huber_norm_sq(r, c)
     value = 0.5 * loss + gamma * nuc
     if not math.isfinite(value):
         raise DataValidationError(
@@ -225,17 +227,13 @@ def default_gamma_path(problem: Problem, count: int = 20,
 
 def objective_f(problem: Problem, y, gamma: float) -> float:
     """Squared-loss objective: 0.5*||P(X) - P(Y)||_F^2 + gamma*||Y||_*."""
-    y = as_matrix(y, "y")
-    if y.shape != problem.shape:
-        raise DimensionMismatchError(f"y shape {y.shape} != problem shape {problem.shape}")
+    y = as_matrix(y, "y", problem.shape)
     return _objective(problem.values, problem.mask.flags, y, float(gamma), None, nuclear_norm(y))
 
 
 def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
     """Huber objective: 0.5*||P(X) - P(Y)||^2_{huber,c} + gamma*||Y||_*."""
-    y = as_matrix(y, "y")
-    if y.shape != problem.shape:
-        raise DimensionMismatchError(f"y shape {y.shape} != problem shape {problem.shape}")
+    y = as_matrix(y, "y", problem.shape)
     return _objective(problem.values, problem.mask.flags, y, float(gamma), c, nuclear_norm(y))
 
 
@@ -302,16 +300,11 @@ def soft_impute(problem: Problem, gamma: float, y_init=None,
     gamma = float(gamma)
     if gamma < 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")
-    if not epsilon > 0:
-        raise DataValidationError(f"epsilon must be positive, got {epsilon}")
-    if max_iters < 1:
-        raise DataValidationError(f"max_iters must be >= 1, got {max_iters}")
+    SolverConfig(epsilon=epsilon, max_inner_iters=max_iters)  # owns the stopping rules
     if y_init is None:
         y, nuc = np.zeros(problem.shape), 0.0
     else:
-        y = as_matrix(y_init, "y_init")
-        if y.shape != problem.shape:
-            raise DimensionMismatchError(f"y_init shape {y.shape} != problem shape {problem.shape}")
+        y = as_matrix(y_init, "y_init", problem.shape)
         nuc = nuclear_norm(y)
     return _stage(problem, gamma, None, y, nuc, 0, epsilon, max_iters)[0]
 
@@ -402,9 +395,7 @@ def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float,
     gamma = float(gamma)
     if not gamma > 0:
         raise DataValidationError(f"gamma must be positive, got {gamma}")
-    y_hat = as_matrix(y_hat, "y_hat")
-    if y_hat.shape != problem.shape:
-        raise DimensionMismatchError(f"y_hat shape {y_hat.shape} != problem shape {problem.shape}")
+    y_hat = as_matrix(y_hat, "y_hat", problem.shape)
     resid = _masked_residual(problem.values, problem.mask.flags, y_hat)
     m = 0.5 * psi(resid, c) / gamma
     factors = svd(y_hat)

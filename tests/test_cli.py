@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +207,43 @@ class TestInpaint:
         assert main(["inpaint", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+def _bad_values(commands, *values):
+    return [(command, value) for value in values for command in commands]
+
+
+ALL_COMMANDS = ("complete", "outliers", "simulate", "inpaint")
+PATH_COMMANDS = ("complete", "outliers", "inpaint")  # the ones that take a gamma
+
+BAD_FLAG_VALUES = (
+    _bad_values(ALL_COMMANDS, ["--tol", "0"], ["--tol", "nan"], ["--max-iters", "0"],
+                ["--c", "-1"], ["--c", "inf"], ["--gamma-count", "0"])
+    + _bad_values(PATH_COMMANDS, ["--gamma", "nan"], ["--gamma", "-1"],
+                  ["--gamma-path", "3,nan"], ["--gamma-path", ","])
+    + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
+    + _bad_values(("inpaint",), ["--missing-frac", "1.5"])
+)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command,bad", BAD_FLAG_VALUES,
+                             ids=[" ".join([c] + b) for c, b in BAD_FLAG_VALUES])
+    def test_bad_flag_value_exits_1_before_any_input_is_read(self, tmp_path, capsys,
+                                                            command, bad):
+        csv, pgm = tmp_path / "in.csv", tmp_path / "img.pgm"
+        write_fixture_csv(csv)
+        write_pgm(pgm, np.random.default_rng(83).random((16, 16)))
+        head = {"complete": ["complete", str(csv)], "outliers": ["outliers", str(csv)],
+                "simulate": ["simulate", "--n", "20", "--rank", "2", "--replicates", "1"],
+                "inpaint": ["inpaint", str(pgm), "--replicates", "1"]}[command]
+        out = tmp_path / "out"
+        argv = head + ["--gamma-count", "3", "--out-dir", str(out)] + bad
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("robustmc: ")
+        assert not out.exists() or not any(out.iterdir())
+        csv.unlink()
+        pgm.unlink()
+        assert main(argv) == 1  # an unreadable input would exit 2
+
     def test_usage_error_on_unknown_flag(self):
         assert main(["complete", "x.csv", "--frobnicate"]) == 1
 
@@ -243,8 +281,12 @@ class TestExitCodes:
         src = tmp_path / "in.csv"
         src.write_text("1,2\n3,1e200\n")
         out = tmp_path / "out"
-        assert main(["complete", str(src), "--allow-nonconverged", "--out-dir", str(out)]) == 2
-        assert "overflowed" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["complete", str(src), "--allow-nonconverged", "--out-dir", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert re.fullmatch(r"robustmc: objective overflowed float64 at gamma \S+; "
+                            r"rescale the input\n", capsys.readouterr().err)
         assert not (out / "diagnostics.json").exists()
 
     def test_data_error_when_both_svd_drivers_fail(self, tmp_path, monkeypatch):

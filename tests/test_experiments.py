@@ -6,6 +6,7 @@ import pytest
 
 from robustmc import (
     DataValidationError,
+    DimensionMismatchError,
     GroundTruthInstance,
     MissingSpec,
     ObservationMask,
@@ -153,6 +154,11 @@ class TestErrorMetrics:
         with pytest.raises(DataValidationError):
             metric_test_error(inst, inst.x0)
 
+    @pytest.mark.parametrize("score", [training_error, metric_test_error])
+    def test_wrong_shape_is_a_dimension_mismatch(self, score):
+        with pytest.raises(DimensionMismatchError, match=r"y_hat shape \(3, 4\)"):
+            score(hand_instance(), np.ones((3, 4)))
+
 
 class TestDegradeImage:
     def image(self, n=48):
@@ -219,6 +225,10 @@ class TestClusteredMask:
             clustered_mask(32, 32, 0.01, 16, seed=22)  # target below one patch
         with pytest.raises(DataValidationError):
             clustered_mask(8, 8, 0.5, 16, seed=23)  # patch exceeds grid
+        with pytest.raises(DataValidationError, match="missing rate"):
+            clustered_mask(8, 8, 1.5, 2, seed=23)
+        with pytest.raises(DataValidationError, match="patch_size"):
+            clustered_mask(8, 8, 0.5, 0, seed=23)  # would never grow a patch
 
     def test_deterministic(self):
         a = clustered_mask(128, 128, 0.15, 8, seed=24)

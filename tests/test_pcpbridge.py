@@ -152,6 +152,15 @@ class TestSolvePcpAlternating:
         for i, j, _ in planted:
             assert res.sparse[i, j] != 0.0
 
+    @pytest.mark.parametrize("bad", [
+        {"max_iters": 0}, {"max_iters": -1}, {"epsilon": 0.0},
+        {"gamma": float("inf")}, {"c": float("inf")},
+    ])
+    def test_bad_parameters_rejected(self, bad):
+        _, prob = make_problem(65)
+        with pytest.raises(DataValidationError):
+            solve_pcp_alternating(prob, **{"gamma": 1.0, "c": 1.0, **bad})
+
 
 class TestLambdaFrom:
     def test_simple_ratio(self):

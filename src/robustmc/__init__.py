@@ -54,6 +54,7 @@ from .pcpbridge import (
 )
 from .experiments import (
     BenchResult,
+    DegradationSpec,
     GroundTruthInstance,
     MissingSpec,
     PathRecord,

@@ -65,8 +65,8 @@ class GroundTruthInstance:
 
     Among the observed entries, `outlier_set` marks the grossly corrupted
     positions and `clean_observed_set` the merely noisy rest; training
-    error is scored on the latter, test error on the unobserved entries
-    against the clean target.
+    error is scored on the latter, test error on the unobserved entries (on
+    all entries when none is unobserved) against the clean target.
     """
 
     x0: np.ndarray
@@ -121,6 +121,23 @@ class MissingSpec:
         return cls("clustered", rate, patch_size)
 
 
+@dataclass(frozen=True)
+class DegradationSpec:
+    """Noise levels of an image experiment (see `degrade_image`)."""
+
+    snr: float
+    outlier_frac: float
+    outlier_snr: float
+
+    def __post_init__(self):
+        if not self.snr > 0:
+            raise DataValidationError(f"snr must be positive, got {self.snr}")
+        if not 0.0 <= self.outlier_frac <= 1.0:
+            raise DataValidationError(f"outlier_frac must be in [0, 1], got {self.outlier_frac}")
+        if not self.outlier_snr > 0:
+            raise DataValidationError(f"outlier_snr must be positive, got {self.outlier_snr}")
+
+
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(int(seed) & _SEED_MASK)
 
@@ -161,14 +178,25 @@ def generate_synthetic(spec: SyntheticSpec) -> GroundTruthInstance:
     outliers = rng.random(x0.shape) < spec.outlier_prob
     x = x + np.where(outliers, rng.normal(0.0, OUTLIER_NOISE_SCALE * sigma, x0.shape), 0.0)
     observed = _sample_independent_mask(rng, x0.shape, spec.missing_prob)
-    return GroundTruthInstance(
-        x0=x0,
-        x=x,
-        mask=ObservationMask(observed),
-        outlier_set=ObservationMask(outliers & observed),
-        clean_observed_set=ObservationMask(observed & ~outliers),
-        sigma=sigma,
-    )
+    return _instance(x0, x, observed, outliers, sigma)
+
+
+def _instance(x0, x, observed, outliers, sigma) -> GroundTruthInstance:
+    """The instance whose outlier set is the observed part of ``outliers``."""
+    return GroundTruthInstance(x0=x0, x=x, mask=ObservationMask(observed),
+                               outlier_set=ObservationMask(outliers & observed),
+                               clean_observed_set=ObservationMask(observed & ~outliers),
+                               sigma=sigma)
+
+
+def _relative_error(y_hat, target, flags, entries: str) -> float:
+    """sum((target - y_hat)**2) over ``flags`` relative to sum(target**2) there."""
+    y_hat = as_matrix(y_hat, "y_hat", target.shape)
+    den = float(np.sum(np.where(flags, target, 0.0) ** 2))
+    if den == 0.0:
+        raise DataValidationError(f"{entries} are all zero; error undefined")
+    num = float(np.sum(np.where(flags, target - y_hat, 0.0) ** 2))
+    return num / den
 
 
 def training_error(instance: GroundTruthInstance, y_hat) -> float:
@@ -177,28 +205,19 @@ def training_error(instance: GroundTruthInstance, y_hat) -> float:
     Outlier positions are excluded, so a fit dragged toward them scores
     worse here, not better.
     """
-    y_hat = as_matrix(y_hat, "y_hat", instance.x.shape)
-    gamma_flags = instance.clean_observed_set.flags
-    if not gamma_flags.any():
+    flags = instance.clean_observed_set.flags
+    if not flags.any():
         raise DataValidationError("no clean observed entries to score")
-    den = float(np.sum(np.where(gamma_flags, instance.x, 0.0) ** 2))
-    if den == 0.0:
-        raise DataValidationError("clean observed entries are all zero; error undefined")
-    num = float(np.sum(np.where(gamma_flags, instance.x - y_hat, 0.0) ** 2))
-    return num / den
+    return _relative_error(y_hat, instance.x, flags, "clean observed entries")
 
 
 def test_error(instance: GroundTruthInstance, y_hat) -> float:
-    """Relative squared error on the unobserved entries against the clean target."""
-    y_hat = as_matrix(y_hat, "y_hat", instance.x.shape)
-    unobs = ~instance.mask.flags
-    if not unobs.any():
-        raise DataValidationError("no unobserved entries to score")
-    den = float(np.sum(np.where(unobs, instance.x0, 0.0) ** 2))
-    if den == 0.0:
-        raise DataValidationError("clean target vanishes off the mask; error undefined")
-    num = float(np.sum(np.where(unobs, instance.x0 - y_hat, 0.0) ** 2))
-    return num / den
+    """Relative squared error against the clean target on the unobserved
+    entries, or on every entry when none is unobserved (outliers only)."""
+    flags = ~instance.mask.flags
+    if not flags.any():
+        flags = instance.mask.flags
+    return _relative_error(y_hat, instance.x0, flags, "scored entries of the clean target")
 
 
 def _grow_patches(rng, n_rows: int, n_cols: int, missing_frac: float, patch_size: int) -> np.ndarray:
@@ -245,16 +264,11 @@ def degrade_image(img, snr: float, outlier_frac: float, outlier_snr: float,
     replacement, receives additional noise calibrated to outlier_snr.
     Missing pixels follow `missing`.
     """
+    DegradationSpec(snr, outlier_frac, outlier_snr)  # owns the noise and outlier rules
     img = as_matrix(img, "img")
     var = float(img.var())
     if var == 0.0:
         raise DataValidationError("image has zero variance; SNR calibration undefined")
-    if not snr > 0:
-        raise DataValidationError(f"snr must be positive, got {snr}")
-    if not outlier_snr > 0:
-        raise DataValidationError(f"outlier_snr must be positive, got {outlier_snr}")
-    if not 0.0 <= outlier_frac <= 1.0:
-        raise DataValidationError(f"outlier_frac must be in [0, 1], got {outlier_frac}")
     rng = _rng(seed)
     scale = float(np.sqrt(var))
     sigma = scale / snr
@@ -271,14 +285,7 @@ def degrade_image(img, snr: float, outlier_frac: float, outlier_snr: float,
         observed = _sample_independent_mask(rng, img.shape, missing.rate)
     else:
         observed = _grow_patches(rng, img.shape[0], img.shape[1], missing.rate, missing.patch_size)
-    return GroundTruthInstance(
-        x0=img,
-        x=x,
-        mask=ObservationMask(observed),
-        outlier_set=ObservationMask(outliers & observed),
-        clean_observed_set=ObservationMask(observed & ~outliers),
-        sigma=sigma,
-    )
+    return _instance(img, x, observed, outliers, sigma)
 
 
 @dataclass(frozen=True)
@@ -329,11 +336,10 @@ class BenchResult:
         return [best[r] for r in sorted(best)]
 
     @property
-    def mean_best_test_error(self) -> float:
+    def mean_best_test_error(self) -> Optional[float]:
+        """Mean of `best_test_errors()`; None when no replicate succeeded."""
         vals = self.best_test_errors()
-        if not vals:
-            raise DataValidationError("no successful replicates")
-        return float(np.mean(vals))
+        return float(np.mean(vals)) if vals else None
 
     def rank_summaries(self) -> list:
         return summarize_by_rank(self.records)
@@ -378,17 +384,11 @@ def solve_path(method: str, problem: Problem, config: SolverConfig) -> PathSolut
     raise DataValidationError(f"unknown method {method!r}")
 
 
-def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution,
-               score=None) -> list:
-    """One PathRecord per stage of `path`, in order.
-
-    Each holds the stage's training error and, as its test error,
-    `score(instance, y_hat)`.  `score` defaults to `test_error`, looked up at
-    call time so that a wrapper bound to that module name sees each call.
-    """
-    score = score or test_error
+def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution) -> list:
+    """One PathRecord per stage of `path`, in order, with the stage's
+    `training_error` and `test_error`."""
     return [PathRecord(replicate, gi, sol.gamma, sol.final_rank,
-                       training_error(instance, sol.y_hat), score(instance, sol.y_hat),
+                       training_error(instance, sol.y_hat), test_error(instance, sol.y_hat),
                        sol.svd_count, sol.converged)
             for gi, sol in enumerate(path)]
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, DimensionMismatchError
-from .matcore import ObservationMask
+from .errors import DataValidationError
+from .matcore import ObservationMask, as_matrix
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,8 @@ def pseudo_data(x_obs, y_cur, mask: ObservationMask, c: float) -> np.ndarray:
     Off the mask the result is zero.
     """
     c = HuberParams(float(c)).c
-    x_obs = np.asarray(x_obs, dtype=float)
-    y_cur = np.asarray(y_cur, dtype=float)
-    if x_obs.shape != y_cur.shape or x_obs.shape != mask.shape:
-        raise DimensionMismatchError(
-            f"shapes differ: x {x_obs.shape}, y {y_cur.shape}, mask {mask.shape}"
-        )
+    x_obs = as_matrix(x_obs, "x_obs", mask.shape)
+    y_cur = as_matrix(y_cur, "y_cur", mask.shape)
     e = x_obs - y_cur
     clipped = np.where(e > c, y_cur + c, np.where(e < -c, y_cur - c, x_obs))
     return np.where(mask.flags, clipped, 0.0)

@@ -170,11 +170,7 @@ class Problem:
     def from_array_with_missing(cls, a) -> "Problem":
         """Interpret NaN entries of ``a`` as unobserved."""
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise DataValidationError(f"expected a 2-D array, got shape {a.shape}")
-        observed = np.isfinite(a)
-        if np.any(np.isinf(a)):
-            raise DataValidationError("observed entries must be finite")
+        observed = ~np.isnan(a)
         return cls(np.where(observed, a, 0.0), ObservationMask(observed))
 
     @property
@@ -194,23 +190,14 @@ class Problem:
         return self.mask.fraction_observed
 
 
-def _check_dims(m: np.ndarray, mask: ObservationMask):
-    if m.shape != mask.shape:
-        raise DimensionMismatchError(f"matrix shape {m.shape} != mask shape {mask.shape}")
-
-
 def project(m, mask: ObservationMask) -> np.ndarray:
     """Keep entries on the mask, zero elsewhere."""
-    m = np.asarray(m, dtype=float)
-    _check_dims(m, mask)
-    return np.where(mask.flags, m, 0.0)
+    return np.where(mask.flags, as_matrix(m, "matrix", mask.shape), 0.0)
 
 
 def project_complement(m, mask: ObservationMask) -> np.ndarray:
     """Keep entries off the mask, zero on it; adds with `project` to ``m``."""
-    m = np.asarray(m, dtype=float)
-    _check_dims(m, mask)
-    return np.where(mask.flags, 0.0, m)
+    return np.where(mask.flags, 0.0, as_matrix(m, "matrix", mask.shape))
 
 
 def frobenius_norm_sq(m) -> float:

@@ -102,12 +102,10 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
 
 def format_matrix_csv(m, mask: ObservationMask = None) -> str:
     """Render a matrix as CSV text; with a mask, unobserved cells are empty."""
-    m = as_matrix(m, "matrix")
+    m = as_matrix(m, "matrix", None if mask is None else mask.shape)
     if mask is None:
         lines = [",".join(map(repr, row)) for row in m.tolist()]
     else:
-        if mask.shape != m.shape:
-            raise DataValidationError(f"mask shape {mask.shape} != matrix shape {m.shape}")
         lines = [",".join(repr(v) if seen else "" for v, seen in zip(row, flags))
                  for row, flags in zip(m.tolist(), mask.flags.tolist())]
     return "\n".join(lines) + "\n"

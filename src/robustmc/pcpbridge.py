@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataValidationError
 from .matcore import Problem, _frozen, as_matrix, nuclear_norm, svd
 from .huber import soft_threshold_scalar
-from .solvers import RANK_TOL, SolverConfig, soft_impute
+from .solvers import RANK_TOL, SolverConfig, _rank_from_values, soft_impute
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,9 @@ def coherence(l, rank_tol: float = RANK_TOL) -> Coherence:
     if not l.any():
         raise DataValidationError("coherence of the zero matrix is undefined")
     factors = svd(l)
-    s = factors.singular_values
-    keep = s > rank_tol * float(s[0])
-    u = factors.u[:, keep]
-    v = factors.v[:, keep]
-    r = int(keep.sum())
+    r = _rank_from_values(factors.singular_values, rank_tol)
+    u = factors.u[:, :r]
+    v = factors.v[:, :r]
     n1, n2 = l.shape
     mu_rows = n1 / r * float(np.max(np.sum(u * u, axis=1)))
     mu_cols = n2 / r * float(np.max(np.sum(v * v, axis=1)))

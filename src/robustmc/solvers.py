@@ -171,13 +171,11 @@ def _rel_change_sq(new: np.ndarray, old: np.ndarray) -> float:
     return num / den
 
 
-def _rank_from_values(shrunk: np.ndarray) -> int:
-    if shrunk.size == 0:
-        return 0
-    top = float(shrunk.max())
-    if top <= 0.0:
-        return 0
-    return int(np.sum(shrunk > RANK_TOL * top))
+def _rank_from_values(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """The numerical rank: how many singular values ``s`` exceed rank_tol
+    times the largest (none of an empty or all-zero ``s``).  On a descending
+    ``s`` they are its first entries."""
+    return int(np.sum(s > rank_tol * float(s.max(initial=0.0))))
 
 
 def _masked_residual(x, flags, y):
@@ -399,13 +397,11 @@ def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float,
     resid = _masked_residual(problem.values, problem.mask.flags, y_hat)
     m = 0.5 * psi(resid, c) / gamma
     factors = svd(y_hat)
-    s = factors.singular_values
-    if s.size == 0 or float(s[0]) <= 0.0:
+    r = _rank_from_values(factors.singular_values, rank_tol)
+    if r == 0:
         return CertificateReport(0.0, float(np.linalg.norm(m, 2)), 0)
-    keep = s > rank_tol * float(s[0])
-    u = factors.u[:, keep]
-    v = factors.v[:, keep]
-    r = int(keep.sum())
+    u = factors.u[:, :r]
+    v = factors.v[:, :r]
     utm = u.T @ m
     tangent = u @ utm + (m @ v) @ v.T - u @ (utm @ v) @ v.T
     gap = float(np.linalg.norm(tangent - u @ v.T, "fro"))

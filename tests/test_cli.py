@@ -7,8 +7,8 @@ import pytest
 import scipy
 import scipy.linalg
 
-from robustmc import ObservationMask
-from robustmc.cli import main
+from robustmc import ObservationMask, SvdError
+from robustmc.cli import BENCH_CSV_HEADER, main
 from robustmc.matio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 
 
@@ -159,6 +159,38 @@ class TestSimulate:
         assert "--gamma-count" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
+    def test_fully_observed_instances_are_scored(self, tmp_path):
+        # nothing is missing, so test error is taken on every entry
+        out = tmp_path / "out"
+        code = main(["simulate", "--n", "20", "--rank", "2", "--missing-prob", "0",
+                     "--replicates", "2", "--gamma-count", "4", "--out-dir", str(out)])
+        assert code == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 2 * 4
+        summary = json.loads((out / "results.json").read_text())
+        assert all(s["mean_best_test_error"] > 0 and not s["failures"]
+                   for s in summary["settings"])
+
+    def test_every_replicate_failing_still_writes_results_json(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def fail(*args, **kwargs):
+            raise SvdError("SVD failed to converge")
+
+        monkeypatch.setattr("robustmc.experiments.solve_path", fail)
+        out = tmp_path / "out"
+        code = main(["simulate", "--n", "20", "--rank", "2", "--replicates", "2",
+                     "--gamma-count", "4", "--out-dir", str(out)])
+        assert code == 2
+        assert "some replicates failed" in capsys.readouterr().err
+        assert (out / "results.csv").read_text().splitlines() == [BENCH_CSV_HEADER]
+        summary = json.loads((out / "results.json").read_text())
+        assert [s["method"] for s in summary["settings"]] == ["robust", "soft"]
+        for s in summary["settings"]:
+            assert s["mean_best_test_error"] is None
+            assert s["per_rank"] == []
+            assert s["failures"] == [[0, "SVD failed to converge"],
+                                     [1, "SVD failed to converge"]]
+
     def test_invalid_spec_is_usage_error(self, tmp_path):
         code = main(["simulate", "--n", "10", "--rank", "40",
                      "--out-dir", str(tmp_path)])
@@ -201,6 +233,14 @@ class TestInpaint:
         assert errors["mean_best_test_error"]["robust"] < 1e-3
         assert errors["mean_best_test_error"]["soft"] < 1e-3
 
+    def test_flat_image_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        write_pgm(src, np.full((16, 16), 0.5))
+        out = tmp_path / "out"
+        assert main(["inpaint", str(src), "--out-dir", str(out)]) == 2
+        assert "zero variance" in capsys.readouterr().err
+        assert not (out / "errors.json").exists()
+
     def test_unreadable_image_is_data_error(self, tmp_path):
         bad = tmp_path / "img.pgm"
         bad.write_bytes(b"not a pgm")
@@ -220,7 +260,8 @@ BAD_FLAG_VALUES = (
     + _bad_values(PATH_COMMANDS, ["--gamma", "nan"], ["--gamma", "-1"],
                   ["--gamma-path", "3,nan"], ["--gamma-path", ","])
     + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
-    + _bad_values(("inpaint",), ["--missing-frac", "1.5"])
+    + _bad_values(("inpaint",), ["--missing-frac", "1.5"], ["--snr", "0"],
+                  ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"])
 )
 
 

@@ -6,11 +6,13 @@ import pytest
 
 from robustmc import (
     DataValidationError,
+    DegradationSpec,
     DimensionMismatchError,
     GroundTruthInstance,
     MissingSpec,
     ObservationMask,
     SolverConfig,
+    SvdError,
     SyntheticSpec,
     clustered_mask,
     degrade_image,
@@ -149,10 +151,13 @@ class TestErrorMetrics:
         with pytest.raises(DataValidationError):
             training_error(broken, np.ones((3, 3)))
 
-    def test_full_mask_has_no_test_error(self):
-        inst = generate_synthetic(SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0, 16))
-        with pytest.raises(DataValidationError):
-            metric_test_error(inst, inst.x0)
+    def test_full_mask_scores_every_entry_against_the_target(self):
+        # nothing is unobserved, so test error falls back to every entry
+        inst = generate_synthetic(SyntheticSpec(10, 10, 2, 1.0, 0.1, 0.0, 16))
+        y = inst.x0 + np.random.default_rng(16).standard_normal(inst.x0.shape)
+        expected = float(np.sum((inst.x0 - y) ** 2) / np.sum(inst.x0 ** 2))
+        assert metric_test_error(inst, y) == expected  # bit for bit
+        assert metric_test_error(inst, inst.x0) == 0.0
 
     @pytest.mark.parametrize("score", [training_error, metric_test_error])
     def test_wrong_shape_is_a_dimension_mismatch(self, score):
@@ -199,6 +204,22 @@ class TestDegradeImage:
     def test_zero_variance_image_rejected(self):
         with pytest.raises(DataValidationError):
             degrade_image(np.full((8, 8), 0.5), 3.0, 0.1, 0.75, MissingSpec.none(), 19)
+
+    @pytest.mark.parametrize("levels,message", [
+        ((0.0, 0.1, 0.75), "snr must be positive"),
+        ((3.0, 1.5, 0.75), "outlier_frac must be in"),
+        ((3.0, np.nan, 0.75), "outlier_frac must be in"),
+        ((3.0, 0.1, -1.0), "outlier_snr must be positive"),
+    ])
+    def test_noise_levels_owned_by_the_spec(self, levels, message):
+        with pytest.raises(DataValidationError, match=message):
+            DegradationSpec(*levels)
+        with pytest.raises(DataValidationError, match=message):
+            degrade_image(self.image(8), *levels, MissingSpec.none(), 19)
+
+    def test_noiseless_levels_accepted(self):
+        assert DegradationSpec(np.inf, 0.0, np.inf).snr == np.inf
+        assert DegradationSpec(3.0, 1.0, 0.75).outlier_frac == 1.0
 
 
 class TestClusteredMask:
@@ -264,32 +285,6 @@ class TestScorePath:
             assert rec.training_error == training_error(inst, sol.y_hat)
             assert rec.test_error == metric_test_error(inst, sol.y_hat)
 
-    def test_custom_score_is_used(self, scored):
-        inst, path = scored
-        seen = []
-
-        def score(instance, y_hat):
-            seen.append((instance, y_hat))
-            return 10.0 * len(seen)
-
-        records = score_path(inst, 0, path, score)
-        assert [r.test_error for r in records] == [10.0, 20.0, 30.0]
-        assert all(i is inst and y is sol.y_hat for (i, y), sol in zip(seen, path))
-        assert [r.training_error for r in records] == [r.training_error
-                                                      for r in score_path(inst, 0, path)]
-
-    def test_custom_score_covers_a_fully_observed_instance(self):
-        # test_error has nothing to score without unobserved entries
-        inst = generate_synthetic(SyntheticSpec(8, 8, 2, 2.0, 0.1, 0.0, seed=10))
-        path = soft_impute_path(inst.problem(), SolverConfig(gamma_path=(3.0, 1.0)))
-        with pytest.raises(DataValidationError):
-            score_path(inst, 0, path)
-
-        def clean_error(instance, y_hat):
-            return float(np.sum((instance.x0 - y_hat) ** 2))
-
-        assert len(score_path(inst, 0, path, clean_error)) == 2
-
 
 class TestRunBenchmark:
     def test_smoke_single_replicate(self):
@@ -319,13 +314,17 @@ class TestRunBenchmark:
             assert a.training_error == pytest.approx(b.training_error, abs=1e-9)
             assert a.test_error == pytest.approx(b.test_error, abs=1e-9)
 
-    def test_method_failure_recorded_and_run_continues(self):
-        # a fully observed instance has no test set, so scoring fails
+    def test_method_failure_recorded_and_run_continues(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SvdError("SVD failed to converge")
+
+        monkeypatch.setattr("robustmc.experiments.solve_path", fail)
         spec = SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0, 0)
         results = run_benchmark([spec], ["soft"], 2, seed=7, gamma_count=4)
         (res,) = results
         assert len(res.failures) == 2
         assert not res.records
+        assert res.mean_best_test_error is None
 
     def test_summaries_group_by_first_hit_rank(self):
         spec = SyntheticSpec(20, 20, 2, 5.0, 0.0, 0.3, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from robustmc import DataValidationError, ObservationMask
+from robustmc import DataValidationError, DimensionMismatchError, ObservationMask
 from robustmc.matio import (
     format_matrix_csv,
     read_matrix_csv,
@@ -39,6 +39,11 @@ class TestMatrixCsv:
             ",".join(repr(float(m[i, j])) if flags[i, j] else "" for j in range(3)) + "\n"
             for i in range(4))
         assert format_matrix_csv(m, ObservationMask(flags)) == expected
+
+    def test_mask_of_another_shape_is_a_dimension_mismatch(self):
+        mask = ObservationMask(np.ones((3, 2), dtype=bool))
+        with pytest.raises(DimensionMismatchError, match=r"matrix shape \(2, 3\)"):
+            format_matrix_csv(np.ones((2, 3)), mask)
 
     def test_na_token(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -190,8 +190,7 @@ def _resolve_gammas(args, config, problem):
 def _solve_path(method, problem, gammas, config) -> PathSolution:
     """Solve along `gammas`; squared loss also takes a single gamma of zero."""
     if gammas[0] == 0:
-        return PathSolution((soft_impute(problem, 0.0, None, config.epsilon,
-                                         config.max_inner_iters),))
+        return PathSolution((soft_impute(problem, 0.0, None, config),))
     return solve_path(method, problem, dataclasses.replace(config, gamma_path=gammas))
 
 
@@ -315,9 +314,8 @@ def cmd_simulate(args) -> int:
         # run_benchmark owns the replicate-count rule; on an empty grid it only checks
         run_benchmark([], methods, args.replicates, args.seed)
     out_dir = _ensure_out_dir(args)
-    results = run_benchmark([spec], methods, args.replicates, args.seed,
-                            gamma_count=args.gamma_count, epsilon=config.epsilon,
-                            max_inner_iters=config.max_inner_iters, cutoff=config.cutoff)
+    results = run_benchmark([spec], methods, args.replicates, args.seed, config,
+                            args.gamma_count)
     lines = [BENCH_CSV_HEADER]
     for res in results:
         for rec in res.records:
@@ -353,7 +351,7 @@ def cmd_inpaint(args) -> int:
     methods = _methods_from(args)
     config = _solver_config(args, robust="robust" in methods)
     with _flag_values():
-        DegradationSpec(args.snr, args.outlier_frac, args.outlier_snr)  # owns their rules
+        noise = DegradationSpec(args.snr, args.outlier_frac, args.outlier_snr)
         if args.missing == "none":
             missing = MissingSpec.none()
         elif args.missing == "independent":
@@ -374,8 +372,7 @@ def cmd_inpaint(args) -> int:
     first_instance = None
     first_recovered = {}
     for rep in range(args.replicates):
-        inst = degrade_image(img, args.snr, args.outlier_frac, args.outlier_snr,
-                             missing, replicate_seed(args.seed, 0, rep))
+        inst = degrade_image(img, noise, missing, replicate_seed(args.seed, 0, rep))
         problem = inst.problem()
         gammas = _resolve_gammas(args, config, problem)
         if first_instance is None:

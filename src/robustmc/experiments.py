@@ -151,8 +151,8 @@ def replicate_seed(master_seed: int, spec_index: int, replicate_index: int) -> i
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sample_independent_mask(rng, shape, missing_prob, retries: int = 8) -> np.ndarray:
-    for _ in range(retries):
+def _sample_independent_mask(rng, shape, missing_prob) -> np.ndarray:
+    for _ in range(8):
         observed = rng.random(shape) >= missing_prob
         if observed.any():
             return observed
@@ -254,31 +254,30 @@ def clustered_mask(n_rows: int, n_cols: int, missing_frac: float,
     return ObservationMask(_grow_patches(_rng(seed), n_rows, n_cols, spec.rate, spec.patch_size))
 
 
-def degrade_image(img, snr: float, outlier_frac: float, outlier_snr: float,
-                  missing: MissingSpec, seed: int) -> GroundTruthInstance:
+def degrade_image(img, noise: DegradationSpec, missing: MissingSpec,
+                  seed: int) -> GroundTruthInstance:
     """Contaminate a grayscale image the way the synthetic generator
     contaminates a low-rank target.
 
-    Dense Gaussian noise is calibrated so sqrt(Var(img)/noise var) = snr;
-    an exact round(outlier_frac * pixels) subset of pixels, sampled without
-    replacement, receives additional noise calibrated to outlier_snr.
-    Missing pixels follow `missing`.
+    Dense Gaussian noise is calibrated so sqrt(Var(img)/noise var) =
+    noise.snr; an exact round(noise.outlier_frac * pixels) subset of pixels,
+    sampled without replacement, receives additional noise calibrated to
+    noise.outlier_snr.  Missing pixels follow `missing`.
     """
-    DegradationSpec(snr, outlier_frac, outlier_snr)  # owns the noise and outlier rules
     img = as_matrix(img, "img")
     var = float(img.var())
     if var == 0.0:
         raise DataValidationError("image has zero variance; SNR calibration undefined")
     rng = _rng(seed)
     scale = float(np.sqrt(var))
-    sigma = scale / snr
+    sigma = scale / noise.snr
     x = img + rng.normal(0.0, sigma, img.shape)
-    n_out = int(round(outlier_frac * img.size))
+    n_out = int(round(noise.outlier_frac * img.size))
     outliers = np.zeros(img.shape, dtype=bool)
     if n_out > 0:
         chosen = rng.choice(img.size, size=n_out, replace=False)
         outliers.flat[chosen] = True
-        x = x + np.where(outliers, rng.normal(0.0, scale / outlier_snr, img.shape), 0.0)
+        x = x + np.where(outliers, rng.normal(0.0, scale / noise.outlier_snr, img.shape), 0.0)
     if missing.mode == "none":
         observed = np.ones(img.shape, dtype=bool)
     elif missing.mode == "independent":
@@ -394,23 +393,23 @@ def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution
 
 
 def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
-                  replicates: int, seed: int,
-                  gamma_count: int = 20, epsilon: float = 1e-5,
-                  max_inner_iters: int = 500,
-                  cutoff: Optional[float] = None) -> list:
+                  replicates: int, seed: int, config: Optional[SolverConfig] = None,
+                  gamma_count: int = 20) -> list:
     """Run each method over seeded replicates of each setting.
 
     The seed of each grid entry is ignored; instance seeds derive from the
     master seed via `replicate_seed`, so two calls with equal arguments
     return identical results.  All methods see the same instance and the
-    same gamma path (derived from the observed matrix) within a replicate.
-    A method failure on one replicate is recorded and the run continues.
+    same gamma path within a replicate: config.gamma_path when it is set,
+    else a `gamma_count`-point path derived from the observed matrix.  A
+    method failure on one replicate is recorded and the run continues.
     """
     if replicates < 1:
         raise DataValidationError(f"replicates must be >= 1, got {replicates}")
     for m in methods:
         if m not in METHODS:
             raise DataValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
+    config = config if config is not None else SolverConfig()
     results = []
     for spec_index, spec in enumerate(spec_grid):
         records = {m: [] for m in methods}
@@ -418,12 +417,11 @@ def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
         for rep in range(replicates):
             inst = generate_synthetic(replace(spec, seed=replicate_seed(seed, spec_index, rep)))
             problem = inst.problem()
-            gammas = default_gamma_path(problem, gamma_count)
-            config = SolverConfig(gamma_path=gammas, cutoff=cutoff, epsilon=epsilon,
-                                  max_inner_iters=max_inner_iters)
+            gammas = config.gamma_path or default_gamma_path(problem, gamma_count)
+            rep_config = replace(config, gamma_path=gammas)
             for m in methods:
                 try:
-                    records[m] += score_path(inst, rep, solve_path(m, problem, config))
+                    records[m] += score_path(inst, rep, solve_path(m, problem, rep_config))
                 except (RobustMcError, np.linalg.LinAlgError) as exc:
                     failures[m].append((rep, str(exc)))
         for m in methods:

@@ -292,7 +292,7 @@ def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     the input is returned unchanged, bit for bit, so that a zero-shrinkage
     step is an exact identity.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")
     if not m.any():
         return np.zeros_like(m, dtype=float), np.zeros(min(m.shape))

@@ -14,15 +14,14 @@ coherence diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataValidationError
 from .matcore import Problem, _frozen, as_matrix, nuclear_norm, svd
 from .huber import soft_threshold_scalar
-from .solvers import RANK_TOL, SolverConfig, _rank_from_values, soft_impute
+from .solvers import SolverConfig, _rank_from_values, _rel_change_sq, soft_impute
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,13 @@ def objective_pcp(problem: Problem, pair: LowRankSparsePair, gamma: float, c: fl
 
 
 def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
-                          epsilon: float = 1e-8, max_iters: int = 200,
-                          inner_epsilon: Optional[float] = None,
-                          inner_max_iters: int = 1000) -> PcpSolution:
+                          epsilon: float = 1e-8, max_iters: int = 200) -> PcpSolution:
     """Block-coordinate descent on the low-rank + sparse objective.
 
     The sparse block has the closed-form `extract_sparse` solution; the
     low-rank block is a full `soft_impute` solve on the outlier-corrected
-    observations, warm-started at the current low-rank iterate.  Both block
+    observations, warm-started at the current low-rank iterate, to a
+    tolerance of epsilon * 1e-2 within 1000 iterations.  Both block
     updates descend the joint objective, so the trace is non-increasing,
     and since the objective is convex the alternation reaches the same
     optimum as the Huber solvers.  Exists as an independent cross-check,
@@ -110,10 +108,9 @@ def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
     gamma = float(gamma)
     c = float(c)
     # SolverConfig owns the rules for gamma, the cutoff, the tolerance and the caps
-    SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=epsilon,
-                 max_inner_iters=inner_max_iters, max_outer_iters=max_iters)
-    if inner_epsilon is None:
-        inner_epsilon = epsilon * 1e-2
+    config = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=epsilon,
+                          max_outer_iters=max_iters)
+    inner = replace(config, epsilon=epsilon * 1e-2, max_inner_iters=1000)
     x = problem.values
     flags = problem.mask.flags
     l = np.zeros(problem.shape)
@@ -124,12 +121,10 @@ def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
     for it in range(1, max_iters + 1):
         s_new = extract_sparse(problem, l, c)
         corrected = Problem(np.where(flags, x - s_new, 0.0), problem.mask)
-        sol = soft_impute(corrected, gamma, l, inner_epsilon, inner_max_iters)
+        sol = soft_impute(corrected, gamma, l, inner)
         l_new = np.asarray(sol.y_hat, dtype=float)
         trace.append(objective_pcp(problem, LowRankSparsePair(l_new, s_new), gamma, c))
-        num = float(np.sum((l_new - l) ** 2) + np.sum((s_new - s) ** 2))
-        den = float(np.sum(l * l) + np.sum(s * s))
-        done = (num == 0.0) if den == 0.0 else (num / den < epsilon)
+        done = _rel_change_sq((l_new, s_new), (l, s)) < epsilon
         l, s = l_new, s_new
         iterations = it
         if done:
@@ -140,12 +135,11 @@ def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
 
 def lambda_from(c: float, gamma: float) -> float:
     """Sparsity-to-rank penalty ratio of the constrained decomposition form."""
-    if not (c > 0 and gamma > 0):
-        raise DataValidationError(f"c and gamma must be positive, got c={c}, gamma={gamma}")
+    SolverConfig(gamma_path=(gamma,), cutoff=c)  # owns the rules for both
     return float(c) / float(gamma)
 
 
-def coherence(l, rank_tol: float = RANK_TOL) -> Coherence:
+def coherence(l) -> Coherence:
     """Tight coherence constants of the rank-r singular subspaces of ``l``.
 
     Rows: (n1/r) * max_i ||row i of U||^2, columns likewise for V, cross:
@@ -156,7 +150,7 @@ def coherence(l, rank_tol: float = RANK_TOL) -> Coherence:
     if not l.any():
         raise DataValidationError("coherence of the zero matrix is undefined")
     factors = svd(l)
-    r = _rank_from_values(factors.singular_values, rank_tol)
+    r = _rank_from_values(factors.singular_values)
     u = factors.u[:, :r]
     v = factors.v[:, :r]
     n1, n2 = l.shape

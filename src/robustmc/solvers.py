@@ -162,20 +162,22 @@ class CertificateReport:
         )
 
 
-def _rel_change_sq(new: np.ndarray, old: np.ndarray) -> float:
-    num = float(np.sum((new - old) ** 2))
-    den = float(np.sum(old * old))
+def _rel_change_sq(new: tuple, old: tuple) -> float:
+    """||new - old||_F^2 / ||old||_F^2 over a tuple of blocks, summed block
+    by block."""
+    num = sum(float(np.sum((n - o) ** 2)) for n, o in zip(new, old))
+    den = sum(float(np.sum(o * o)) for o in old)
     if den == 0.0:
         # the update rule is undefined at 0; only a literal fixed point stops
         return 0.0 if num == 0.0 else np.inf
     return num / den
 
 
-def _rank_from_values(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """The numerical rank: how many singular values ``s`` exceed rank_tol
+def _rank_from_values(s: np.ndarray) -> int:
+    """The numerical rank: how many singular values ``s`` exceed RANK_TOL
     times the largest (none of an empty or all-zero ``s``).  On a descending
     ``s`` they are its first entries."""
-    return int(np.sum(s > rank_tol * float(s.max(initial=0.0))))
+    return int(np.sum(s > RANK_TOL * float(s.max(initial=0.0))))
 
 
 def _masked_residual(x, flags, y):
@@ -205,22 +207,18 @@ def _cutoff(config, problem, gamma):
     return choose_cutoff(gamma, problem.n_rows, problem.n_cols, problem.observed_fraction)
 
 
-def default_gamma_path(problem: Problem, count: int = 20,
-                       top_scale: float = 0.95, bottom_scale: float = 0.01) -> tuple:
-    """Log-spaced gamma path from near-total shrinkage down to light shrinkage.
-
-    Anchored at the largest singular value of the observed matrix, the
-    smallest weight for which the solution collapses to zero.
+def default_gamma_path(problem: Problem, count: int = 20) -> tuple:
+    """Log-spaced gamma path from 0.95 down to 0.01 times the largest
+    singular value of the observed matrix, the smallest weight for which
+    the solution collapses to zero.
     """
     if count < 1:
         raise DataValidationError(f"count must be >= 1, got {count}")
-    if not (0.0 < bottom_scale < top_scale):
-        raise DataValidationError("need 0 < bottom_scale < top_scale")
     _, s, _ = _raw_svd(problem.values)
     sigma1 = float(s[0])
     if sigma1 <= 0.0:
         raise DataValidationError("observed matrix is identically zero; no sensible path")
-    return tuple(np.geomspace(top_scale * sigma1, bottom_scale * sigma1, count).tolist())
+    return tuple(np.geomspace(0.95 * sigma1, 0.01 * sigma1, count).tolist())
 
 
 def objective_f(problem: Problem, y, gamma: float) -> float:
@@ -259,7 +257,7 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
         svds += 1
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
         trace.append(_objective(x, flags, y_new, gamma, c, nuc))
-        done = _rel_change_sq(y_new, y) < epsilon
+        done = _rel_change_sq((y_new,), (y,)) < epsilon
         y = y_new
         iterations = it
         if done:
@@ -288,23 +286,23 @@ def _path(problem: Problem, config: SolverConfig, robust: bool) -> PathSolution:
 
 
 def soft_impute(problem: Problem, gamma: float, y_init=None,
-                epsilon: float = 1e-5, max_iters: int = 500) -> Solution:
+                config: Optional[SolverConfig] = None) -> Solution:
     """Iterate Y <- shrink(P(X) + Pc(Y), gamma) until the relative change
-    of successive iterates drops below epsilon.
+    of successive iterates drops below config.epsilon.
 
-    Hitting max_iters is not an error; the Solution comes back with
-    converged=False.
+    Hitting config.max_inner_iters is not an error; the Solution comes back
+    with converged=False.  Unlike a path, a single solve takes gamma = 0.
     """
     gamma = float(gamma)
-    if gamma < 0:
-        raise DataValidationError(f"gamma must be >= 0, got {gamma}")
-    SolverConfig(epsilon=epsilon, max_inner_iters=max_iters)  # owns the stopping rules
+    if not 0 <= gamma < math.inf:
+        raise DataValidationError(f"gamma must be finite and >= 0, got {gamma}")
+    config = config if config is not None else SolverConfig()
     if y_init is None:
         y, nuc = np.zeros(problem.shape), 0.0
     else:
         y = as_matrix(y_init, "y_init", problem.shape)
         nuc = nuclear_norm(y)
-    return _stage(problem, gamma, None, y, nuc, 0, epsilon, max_iters)[0]
+    return _stage(problem, gamma, None, y, nuc, 0, config.epsilon, config.max_inner_iters)[0]
 
 
 def soft_impute_path(problem: Problem, config: Optional[SolverConfig] = None) -> PathSolution:
@@ -325,9 +323,7 @@ def general_robust(problem: Problem, gamma: float,
     Descent of the completer implies descent of the Huber objective, so the
     recorded trace is non-increasing.
     """
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise DataValidationError(f"gamma must be positive, got {gamma}")
+    (gamma,) = SolverConfig(gamma_path=(gamma,)).gamma_path  # owns the gamma rule
     config = config if config is not None else SolverConfig()
     c = _cutoff(config, problem, gamma)
 
@@ -354,7 +350,7 @@ def general_robust(problem: Problem, gamma: float,
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
         trace.append(_objective(x, flags, y_new, gamma, c, nuc))
-        done = _rel_change_sq(y_new, y) < config.epsilon
+        done = _rel_change_sq((y_new,), (y,)) < config.epsilon
         y = y_new
         iterations = it
         if done:
@@ -379,8 +375,7 @@ def robust_impute(problem: Problem, config: Optional[SolverConfig] = None) -> Pa
     return _path(problem, config if config is not None else SolverConfig(), robust=True)
 
 
-def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float,
-                             rank_tol: float = RANK_TOL) -> CertificateReport:
+def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float) -> CertificateReport:
     """Check the first-order optimality of y_hat for the Huber objective.
 
     At an exact minimizer, half the elementwise Huber derivative of the
@@ -390,14 +385,12 @@ def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float,
     is amplified by 1/gamma, so thresholds should be looser than the solve
     tolerance.
     """
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise DataValidationError(f"gamma must be positive, got {gamma}")
+    (gamma,) = SolverConfig(gamma_path=(gamma,)).gamma_path  # owns the gamma rule
     y_hat = as_matrix(y_hat, "y_hat", problem.shape)
     resid = _masked_residual(problem.values, problem.mask.flags, y_hat)
     m = 0.5 * psi(resid, c) / gamma
     factors = svd(y_hat)
-    r = _rank_from_values(factors.singular_values, rank_tol)
+    r = _rank_from_values(factors.singular_values)
     if r == 0:
         return CertificateReport(0.0, float(np.linalg.norm(m, 2)), 0)
     u = factors.u[:, :r]

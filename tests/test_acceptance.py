@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from robustmc import (
+    DegradationSpec,
     LowRankSparsePair,
     MissingSpec,
     ObservationMask,
@@ -302,13 +303,13 @@ def _image_study(img, replicates):
                   ("clustered", MissingSpec.clustered(0.1, 16)))
     study = {}
     for mech_idx, (mech, miss) in enumerate(mechanisms):
-        inst0 = degrade_image(img, 3.0, 0.1, 0.75, miss,
+        inst0 = degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
                               replicate_seed(MASTER_SEED, mech_idx, 0))
         gammas = _rank_targeted_path(inst0.problem())
         errors = {m: {t: [] for t in TARGET_RANKS} for m in ("robust", "soft")}
         train = {m: {t: [] for t in TARGET_RANKS} for m in ("robust", "soft")}
         for rep in range(replicates):
-            inst = degrade_image(img, 3.0, 0.1, 0.75, miss,
+            inst = degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
                                  replicate_seed(MASTER_SEED, mech_idx, rep))
             prob = inst.problem()
             for method in ("robust", "soft"):

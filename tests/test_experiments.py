@@ -172,13 +172,13 @@ class TestDegradeImage:
 
     def test_noiseless_limit(self):
         img = self.image()
-        inst = degrade_image(img, math.inf, 0.0, 1.0, MissingSpec.none(), 17)
+        inst = degrade_image(img, DegradationSpec(math.inf, 0.0, 1.0), MissingSpec.none(), 17)
         assert np.array_equal(inst.x, img)
         assert inst.mask.n_observed == img.size
 
     def test_outlier_count_is_exact(self):
         img = self.image()
-        inst = degrade_image(img, 3.0, 0.1, 0.75, MissingSpec.none(), 18)
+        inst = degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), MissingSpec.none(), 18)
         assert inst.outlier_set.n_observed == round(0.1 * img.size)
 
     def test_variance_additivity(self):
@@ -187,7 +187,7 @@ class TestDegradeImage:
         snr = 3.0
         total = []
         for seed in range(20):
-            inst = degrade_image(img, snr, 1.0, snr, MissingSpec.none(), seed)
+            inst = degrade_image(img, DegradationSpec(snr, 1.0, snr), MissingSpec.none(), seed)
             total.append((inst.x - img).var())
         expected = 2 * (sd / snr) ** 2  # two independent layers at equal sd
         assert np.mean(total) == pytest.approx(expected, rel=0.1)
@@ -195,7 +195,7 @@ class TestDegradeImage:
     def test_independent_missing_fraction(self):
         img = self.image(64)
         fracs = [
-            degrade_image(img, 3.0, 0.0, 1.0, MissingSpec.independent(0.4), s)
+            degrade_image(img, DegradationSpec(3.0, 0.0, 1.0), MissingSpec.independent(0.4), s)
             .mask.fraction_observed
             for s in range(20)
         ]
@@ -203,7 +203,8 @@ class TestDegradeImage:
 
     def test_zero_variance_image_rejected(self):
         with pytest.raises(DataValidationError):
-            degrade_image(np.full((8, 8), 0.5), 3.0, 0.1, 0.75, MissingSpec.none(), 19)
+            degrade_image(np.full((8, 8), 0.5), DegradationSpec(3.0, 0.1, 0.75),
+                          MissingSpec.none(), 19)
 
     @pytest.mark.parametrize("levels,message", [
         ((0.0, 0.1, 0.75), "snr must be positive"),
@@ -214,8 +215,6 @@ class TestDegradeImage:
     def test_noise_levels_owned_by_the_spec(self, levels, message):
         with pytest.raises(DataValidationError, match=message):
             DegradationSpec(*levels)
-        with pytest.raises(DataValidationError, match=message):
-            degrade_image(self.image(8), *levels, MissingSpec.none(), 19)
 
     def test_noiseless_levels_accepted(self):
         assert DegradationSpec(np.inf, 0.0, np.inf).snr == np.inf
@@ -305,7 +304,7 @@ class TestRunBenchmark:
     def test_no_outliers_huge_cutoff_makes_methods_identical(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.0, 0.4, 0)
         results = run_benchmark([spec], ["robust", "soft"], 2, seed=6,
-                                gamma_count=6, cutoff=1e12)
+                                config=SolverConfig(cutoff=1e12), gamma_count=6)
         robust = [r for r in results if r.method == "robust"][0]
         soft = [r for r in results if r.method == "soft"][0]
         for a, b in zip(robust.records, soft.records):
@@ -313,6 +312,21 @@ class TestRunBenchmark:
             assert a.svd_count == b.svd_count
             assert a.training_error == pytest.approx(b.training_error, abs=1e-9)
             assert a.test_error == pytest.approx(b.test_error, abs=1e-9)
+
+    def test_config_caps_every_stage(self):
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        results = run_benchmark([spec], ["robust", "soft"], 2, seed=5,
+                                config=SolverConfig(max_inner_iters=1), gamma_count=4)
+        records = [rec for res in results for rec in res.records]
+        assert len(records) == 2 * 2 * 4
+        assert not any(rec.converged for rec in records)
+
+    def test_config_gamma_path_is_every_replicates_path(self):
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        gammas = (3.0, 1.5, 0.7)
+        for res in run_benchmark([spec], ["robust", "soft"], 2, seed=5,
+                                 config=SolverConfig(gamma_path=gammas), gamma_count=8):
+            assert [rec.gamma for rec in res.records] == list(gammas) * 2
 
     def test_method_failure_recorded_and_run_continues(self, monkeypatch):
         def fail(*args, **kwargs):

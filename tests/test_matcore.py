@@ -236,6 +236,10 @@ class TestSvdSoftThreshold:
         with pytest.raises(DataValidationError):
             svd_soft_threshold(np.eye(2), -0.1)
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(DataValidationError, match="gamma must be >= 0"):
+            svd_soft_threshold(np.eye(3), np.nan)
+
     def test_matches_prox_oracle(self):
         # frozen representative of the general random check in
         # test_acceptance; see criterion 1 there for the full sweep

@@ -110,7 +110,7 @@ class TestSolvePcpAlternating:
         gamma = 0.6
         res = solve_pcp_alternating(prob, gamma, c=1e9, epsilon=1e-12)
         assert not res.sparse.any()
-        plain = soft_impute(prob, gamma, epsilon=1e-14, max_iters=20000)
+        plain = soft_impute(prob, gamma, config=SolverConfig(epsilon=1e-14, max_inner_iters=20000))
         rel = np.linalg.norm(res.low_rank - plain.y_hat) / np.linalg.norm(plain.y_hat)
         assert rel < 1e-5
 
@@ -175,6 +175,10 @@ class TestLambdaFrom:
     def test_rejects_nonpositive(self):
         with pytest.raises(DataValidationError):
             lambda_from(0.0, 1.0)
+
+    def test_rejects_infinite_gamma(self):
+        with pytest.raises(DataValidationError, match="positive and finite"):
+            lambda_from(1.0, np.inf)
 
 
 class TestCoherence:

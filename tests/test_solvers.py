@@ -136,7 +136,7 @@ class TestSoftImpute:
         mask = ObservationMask(rng.random((6, 6)) < 0.5)
         prob = Problem.from_full(x, mask)
         gamma = 0.5
-        sol = soft_impute(prob, gamma, epsilon=1e-14, max_iters=20000)
+        sol = soft_impute(prob, gamma, config=SolverConfig(epsilon=1e-14, max_inner_iters=20000))
         ours = objective_f(prob, sol.y_hat, gamma)
         ref_y = completion_oracle(prob.values, mask.flags, gamma, obj_tol=1e-12)
         ref = completion_objective(prob.values, mask.flags, ref_y, gamma)
@@ -149,9 +149,15 @@ class TestSoftImpute:
 
     def test_max_iters_flags_not_converged(self):
         _, prob = make_instance(31)
-        sol = soft_impute(prob, 0.1, epsilon=1e-16, max_iters=3)
+        sol = soft_impute(prob, 0.1, config=SolverConfig(epsilon=1e-16, max_inner_iters=3))
         assert not sol.converged
         assert sol.iterations == 3
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        _, prob = make_instance(31)
+        with pytest.raises(DataValidationError, match="gamma must be finite"):
+            soft_impute(prob, gamma)
 
     def test_final_rank_matches_recomputation(self):
         _, prob = make_instance(32)
@@ -181,10 +187,15 @@ class TestGeneralRobust:
         _, prob = make_instance(34)
         cfg = SolverConfig(cutoff=1e9, epsilon=eps, max_inner_iters=10000)
         sol = general_robust(prob, 0.8, cfg)
-        plain = soft_impute(prob, 0.8, epsilon=eps, max_iters=10000)
+        plain = soft_impute(prob, 0.8, config=SolverConfig(epsilon=eps, max_inner_iters=10000))
         assert sol.iterations == 1
         rel = np.linalg.norm(sol.y_hat - plain.y_hat) / np.linalg.norm(plain.y_hat)
         assert rel <= 10 * np.sqrt(eps)
+
+    def test_infinite_gamma_rejected_by_the_path_rule(self):
+        _, prob = make_instance(35)
+        with pytest.raises(DataValidationError, match="positive and finite"):
+            general_robust(prob, np.inf)
 
     def test_monotone_trace_from_initial_estimate(self):
         _, prob = make_instance(35, outlier_frac=0.08)
@@ -209,7 +220,7 @@ class TestGeneralRobust:
 
         def completer(p, gamma, y0):
             calls.append(gamma)
-            return soft_impute(p, gamma, y0, 1e-8, 2000)
+            return soft_impute(p, gamma, y0, SolverConfig(epsilon=1e-8, max_inner_iters=2000))
 
         sol = general_robust(prob, 1.0, completer=completer)
         assert len(calls) >= 2  # initial completion plus at least one refit
@@ -290,7 +301,7 @@ class TestStageKernel:
         cfg = SolverConfig(gamma_path=default_gamma_path(prob, 8))
         y = None
         for stage in soft_impute_path(prob, cfg):
-            single = soft_impute(prob, stage.gamma, y, cfg.epsilon, cfg.max_inner_iters)
+            single = soft_impute(prob, stage.gamma, y, cfg)
             assert np.array_equal(stage.y_hat, single.y_hat)
             assert stage.iterations == single.iterations
             assert stage.svd_count == single.svd_count
@@ -340,7 +351,8 @@ class TestStageKernel:
 
     def test_large_robust_path_matches_the_dense_path(self, monkeypatch):
         _, prob = make_instance(52, n1=240, n2=240, rank=5, outlier_frac=0.05)
-        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 5, bottom_scale=0.05))
+        s1 = float(svd(prob.values).singular_values[0])
+        cfg = SolverConfig(gamma_path=tuple(np.geomspace(0.95 * s1, 0.05 * s1, 5).tolist()))
         path = robust_impute(prob, cfg)
         monkeypatch.setattr(matcore, "PARTIAL_MIN_SIDE", 10 ** 9)
         dense = robust_impute(prob, cfg)
@@ -416,6 +428,11 @@ class TestStationarityCertificate:
         c = 10.0
         cert = stationarity_certificate(prob, np.zeros(prob.shape), gamma, c)
         assert not cert.passes(1e-3)
+
+    def test_infinite_gamma_rejected_by_the_path_rule(self):
+        _, prob = make_instance(46)
+        with pytest.raises(DataValidationError, match="positive and finite"):
+            stationarity_certificate(prob, np.zeros(prob.shape), np.inf, 1.0)
 
     def test_zero_solution_certificate(self):
         _, prob = make_instance(46)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError
-from .matcore import ObservationMask, as_matrix
+from .errors import DataValidationError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,24 @@ def soft_threshold_scalar(x, c: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pseudo_data(x_obs, y_cur, mask: ObservationMask, c: float) -> np.ndarray:
-    """Surrogate observations for one robust step.
+def pseudo_data(x_obs, y_cur, c: float) -> np.ndarray:
+    """Surrogate observations for one robust step, entry by entry.
 
-    On the mask, residuals within +-c pass the observed value through
-    untouched (exactly, no arithmetic applied); residuals beyond the cutoff
-    are replaced by the current estimate moved c toward the observation.
-    Off the mask the result is zero.
+    ``x_obs`` and ``y_cur`` are equal-shaped arrays of observed values and
+    current estimates (the solvers pass the observed entries as vectors).
+    Residuals within +-c pass the observed value through untouched (exactly,
+    no arithmetic applied); residuals beyond the cutoff are replaced by the
+    current estimate moved c toward the observation.
     """
     c = HuberParams(float(c)).c
-    x_obs = as_matrix(x_obs, "x_obs", mask.shape)
-    y_cur = as_matrix(y_cur, "y_cur", mask.shape)
+    x_obs = np.asarray(x_obs, dtype=float)
+    y_cur = np.asarray(y_cur, dtype=float)
+    if x_obs.shape != y_cur.shape:
+        raise DimensionMismatchError(f"y_cur shape {y_cur.shape} != x_obs shape {x_obs.shape}")
+    if not (np.isfinite(x_obs).all() and np.isfinite(y_cur).all()):
+        raise DataValidationError("pseudo_data inputs contain NaN or Inf entries")
     e = x_obs - y_cur
-    clipped = np.where(e > c, y_cur + c, np.where(e < -c, y_cur - c, x_obs))
-    return np.where(mask.flags, clipped, 0.0)
+    return np.where(e > c, y_cur + c, np.where(e < -c, y_cur - c, x_obs))
 
 
 def choose_cutoff(gamma: float, n_rows: int, n_cols: int, observed_fraction: float) -> float:

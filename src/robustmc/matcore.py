@@ -208,11 +208,11 @@ def frobenius_norm_sq(m) -> float:
 
 # The shrinkage step tries a partial SVD only on matrices whose shorter side
 # is at least PARTIAL_MIN_SIDE, asks for PARTIAL_MARGIN more triplets than
-# the previous iterate kept, and gives up once PARTIAL_SHARE times the number
-# asked for exceeds the shorter side: past that, PROPACK is no faster than a
-# full SVD.
+# the previous iterate kept (the one at or below gamma), and gives up once
+# PARTIAL_SHARE times the number asked for exceeds the shorter side: past
+# that, PROPACK is no faster than a full SVD.
 PARTIAL_MIN_SIDE = 200
-PARTIAL_MARGIN = 5
+PARTIAL_MARGIN = 1
 PARTIAL_SHARE = 8
 
 
@@ -230,7 +230,9 @@ def _partial_svd(m: np.ndarray, gamma: float, rank: int):
     k = rank + PARTIAL_MARGIN
     while PARTIAL_SHARE * k <= min(m.shape):
         try:
-            u, s, vt = svds(m, k, solver="propack", rng=np.random.default_rng(0))
+            # a Lanczos basis of at least 50: scipy's 10 k often fails for k of 1 or 2
+            u, s, vt = svds(m, k, solver="propack", maxiter=max(10 * k, 50),
+                            rng=np.random.default_rng(0))
         except np.linalg.LinAlgError:
             return None
         if s.min() <= gamma:

@@ -25,18 +25,24 @@ MISSING_TOKEN = "NA"
 _MISSING = ("", MISSING_TOKEN)
 
 
-def atomic_write_bytes(path, data: bytes):
+def _atomic_write(path, chunks):
+    """Write the byte strings ``chunks`` in turn to a temp file beside
+    ``path``, then rename it over ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes):
+    _atomic_write(path, (data,))
 
 
 def atomic_write_text(path, text: str):
@@ -100,19 +106,24 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
     return Problem(values, ObservationMask(np.asarray(observed, dtype=bool)))
 
 
-def format_matrix_csv(m, mask: ObservationMask = None) -> str:
-    """Render a matrix as CSV text; with a mask, unobserved cells are empty."""
+def _csv_rows(m, mask):
+    """Check ``m`` against ``mask`` now; return its CSV rows, each ending
+    in a newline, one at a time (unobserved cells empty)."""
     m = as_matrix(m, "matrix", None if mask is None else mask.shape)
     if mask is None:
-        lines = [",".join(map(repr, row)) for row in m.tolist()]
-    else:
-        lines = [",".join(repr(v) if seen else "" for v, seen in zip(row, flags))
-                 for row, flags in zip(m.tolist(), mask.flags.tolist())]
-    return "\n".join(lines) + "\n"
+        return (",".join(map(repr, row.tolist())) + "\n" for row in m)
+    return (",".join(repr(v) if seen else "" for v, seen in zip(row.tolist(), flags.tolist()))
+            + "\n" for row, flags in zip(m, mask.flags))
+
+
+def format_matrix_csv(m, mask: ObservationMask = None) -> str:
+    """Render a matrix as CSV text; with a mask, unobserved cells are empty."""
+    return "".join(_csv_rows(m, mask))
 
 
 def write_matrix_csv(path, m, mask: ObservationMask = None):
-    atomic_write_text(path, format_matrix_csv(m, mask))
+    """Write `format_matrix_csv`'s text, streamed row by row."""
+    _atomic_write(path, (row.encode("utf-8") for row in _csv_rows(m, mask)))
 
 
 def _pgm_header_tokens(data: bytes, count: int):

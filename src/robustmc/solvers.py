@@ -180,18 +180,14 @@ def _rank_from_values(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * float(s.max(initial=0.0))))
 
 
-def _masked_residual(x, flags, y):
-    return np.where(flags, x - y, 0.0)
-
-
-def _objective(x, flags, y, gamma, c, nuc):
-    """Squared-loss objective for c=None, Huber objective otherwise.
+def _objective(r, gamma, c, nuc):
+    """Squared-loss objective for c=None, Huber objective otherwise, of the
+    observed residual vector r and the nuclear norm nuc.
 
     Every trace value comes from here, so this is where a finite input too
     large for float64 is caught, before it yields an inf trace; numpy's own
     overflow warning is silenced, since the error below reports it.
     """
-    r = _masked_residual(x, flags, y)
     with np.errstate(over="ignore"):
         loss = float(np.sum(r * r)) if c is None else huber_norm_sq(r, c)
     value = 0.5 * loss + gamma * nuc
@@ -199,6 +195,11 @@ def _objective(x, flags, y, gamma, c, nuc):
         raise DataValidationError(
             f"objective overflowed float64 at gamma {gamma:g}; rescale the input")
     return value
+
+
+def _observed_residual(problem: Problem, y):
+    flags = problem.mask.flags
+    return problem.values[flags] - as_matrix(y, "y", problem.shape)[flags]
 
 
 def _cutoff(config, problem, gamma):
@@ -223,14 +224,12 @@ def default_gamma_path(problem: Problem, count: int = 20) -> tuple:
 
 def objective_f(problem: Problem, y, gamma: float) -> float:
     """Squared-loss objective: 0.5*||P(X) - P(Y)||_F^2 + gamma*||Y||_*."""
-    y = as_matrix(y, "y", problem.shape)
-    return _objective(problem.values, problem.mask.flags, y, float(gamma), None, nuclear_norm(y))
+    return _objective(_observed_residual(problem, y), float(gamma), None, nuclear_norm(y))
 
 
 def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
     """Huber objective: 0.5*||P(X) - P(Y)||^2_{huber,c} + gamma*||Y||_*."""
-    y = as_matrix(y, "y", problem.shape)
-    return _objective(problem.values, problem.mask.flags, y, float(gamma), c, nuclear_norm(y))
+    return _objective(_observed_residual(problem, y), float(gamma), c, nuclear_norm(y))
 
 
 def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
@@ -245,18 +244,21 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     returns the nuclear norm and the kept count of y_hat, so the next stage
     needs no SVD and can size a partial one.
     """
-    x = problem.values
-    flags = problem.mask.flags
-    trace = [_objective(x, flags, y, gamma, c, nuc)]
+    obs = np.flatnonzero(problem.mask.flags)
+    x_obs = np.take(problem.values, obs)
+    y_obs = np.take(y, obs)
+    trace = [_objective(x_obs - y_obs, gamma, c, nuc)]
     converged = False
     iterations = 0
     shrunk = np.zeros(0)
     for it in range(1, max_iters + 1):
-        fill = x if c is None else pseudo_data(x, y, problem.mask, c)
-        y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma, rank)
+        fill = np.array(y, dtype=float)
+        np.put(fill, obs, x_obs if c is None else pseudo_data(x_obs, y_obs, c))
+        y_new, shrunk = shrink_singular_values(fill, gamma, rank)
         svds += 1
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
-        trace.append(_objective(x, flags, y_new, gamma, c, nuc))
+        y_obs = np.take(y_new, obs)
+        trace.append(_objective(x_obs - y_obs, gamma, c, nuc))
         done = _rel_change_sq((y_new,), (y,)) < epsilon
         y = y_new
         iterations = it
@@ -341,15 +343,15 @@ def general_robust(problem: Problem, gamma: float,
     inner, nuc, rank = complete(problem, None, 0.0, 0)
     y = np.asarray(inner.y_hat, dtype=float)
     svds = inner.svd_count
-    trace = [_objective(x, flags, y, gamma, c, nuc)]
+    trace = [_objective(_observed_residual(problem, y), gamma, c, nuc)]
     converged = False
     iterations = 0
     for it in range(1, config.max_outer_iters + 1):
-        z = pseudo_data(x, y, problem.mask, c)
+        z = np.where(flags, pseudo_data(x, y, c), 0.0)
         inner, nuc, rank = complete(Problem(z, problem.mask), y, nuc, rank)
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
-        trace.append(_objective(x, flags, y_new, gamma, c, nuc))
+        trace.append(_objective(_observed_residual(problem, y_new), gamma, c, nuc))
         done = _rel_change_sq((y_new,), (y,)) < config.epsilon
         y = y_new
         iterations = it
@@ -387,7 +389,7 @@ def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float) ->
     """
     (gamma,) = SolverConfig(gamma_path=(gamma,)).gamma_path  # owns the gamma rule
     y_hat = as_matrix(y_hat, "y_hat", problem.shape)
-    resid = _masked_residual(problem.values, problem.mask.flags, y_hat)
+    resid = np.where(problem.mask.flags, problem.values - y_hat, 0.0)
     m = 0.5 * psi(resid, c) / gamma
     factors = svd(y_hat)
     r = _rank_from_values(factors.singular_values)

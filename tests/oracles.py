@@ -4,6 +4,8 @@ Spectral shrinkage here is built from the eigendecomposition of the Gram
 matrix (never numpy's svd), and the minimizers are plain proximal-gradient
 loops with step sizes away from 1, so their fixed points are reached along
 a different computational path than the production one-shot operators.
+`dense_reference_path` is the exception: it keeps the package's shrinkage
+and replays the solvers' stage on whole matrices, to pin their steps.
 """
 
 import numpy as np
@@ -68,3 +70,61 @@ def completion_oracle(x, flags, gamma, step=0.6, obj_tol=1e-11, max_iters=500000
             return y
         prev = cur
     raise AssertionError("completion oracle failed to converge")
+
+
+def dense_reference_path(problem, gammas, cutoffs, epsilon, max_iters):
+    """The shrinkage-stage kernel as it once ran, on whole matrices.
+
+    Each step builds the surrogates over the whole grid, fills with an
+    ``np.where`` over the mask and takes the Huber (``c`` not None) or
+    squared-loss trace value of the masked dense residual.  It shrinks with
+    the package's own ``shrink_singular_values`` and the same rank hints,
+    so a production stage that applies the same elementwise rules must
+    match it bit for bit in every iterate; only the trace sums may differ
+    in their last bits.  A robust path (``cutoffs[0]`` not None) starts
+    from one shrinkage of the observations, a squared-loss path from zero.
+    Returns one ``(y_hat, iterations, svd_count, converged, trace)`` per
+    stage.
+    """
+    from robustmc.matcore import shrink_singular_values
+
+    x = problem.values
+    flags = problem.mask.flags
+
+    def objective(y, gamma, c, nuc):
+        r = np.where(flags, x - y, 0.0)
+        if c is None:
+            loss = float(np.sum(r * r))
+        else:
+            a = np.abs(r)
+            loss = float(np.sum(np.where(a <= c, r * r, c * (2.0 * a - c))))
+        return 0.5 * loss + gamma * nuc
+
+    if cutoffs[0] is None:
+        y, nuc, rank, svds = np.zeros(x.shape), 0.0, 0, 0
+    else:
+        y, shrunk = shrink_singular_values(x, gammas[0])
+        nuc, rank, svds = float(shrunk.sum()), np.count_nonzero(shrunk), 1
+    stages = []
+    for gamma, c in zip(gammas, cutoffs):
+        trace = [objective(y, gamma, c, nuc)]
+        converged, iterations = False, 0
+        for it in range(1, max_iters + 1):
+            if c is None:
+                fill = x
+            else:
+                e = x - y
+                fill = np.where(e > c, y + c, np.where(e < -c, y - c, x))
+            y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma, rank)
+            svds += 1
+            nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
+            trace.append(objective(y_new, gamma, c, nuc))
+            num, den = float(np.sum((y_new - y) ** 2)), float(np.sum(y * y))
+            change = num / den if den else (0.0 if num == 0.0 else np.inf)
+            y, iterations = y_new, it
+            if change < epsilon:
+                converged = True
+                break
+        stages.append((y, iterations, svds, converged, trace))
+        svds = 0
+    return stages

@@ -61,10 +61,9 @@ class TestRho:
 
     @pytest.mark.parametrize("c", [0, -1.0, np.inf, np.nan])
     def test_every_entry_point_rejects_cutoff_alike(self, c):
-        mask = ObservationMask.full(1, 1)
         calls = [lambda: rho(1.0, c), lambda: psi(1.0, c), lambda: huber_norm_sq([1.0], c),
                  lambda: soft_threshold_scalar(1.0, c),
-                 lambda: pseudo_data([[1.0]], [[0.0]], mask, c), lambda: HuberParams(c)]
+                 lambda: pseudo_data([1.0], [0.0], c), lambda: HuberParams(c)]
         for call in calls:
             with pytest.raises(DataValidationError, match="cutoff c must be positive and finite"):
                 call()
@@ -108,46 +107,61 @@ class TestHuberNormSq:
         assert huber_norm_sq(m, c) == pytest.approx(frobenius_norm_sq(m), rel=1e-12)
 
 
+def _dense_pseudo_data(x, y, flags, c):
+    """The surrogate rule as the solvers once applied it: on whole matrices,
+    zero off the mask."""
+    e = x - y
+    return np.where(flags, np.where(e > c, y + c, np.where(e < -c, y - c, x)), 0.0)
+
+
 class TestPseudoData:
     def test_quadratic_regime_passes_observations_through_exactly(self):
         rng = np.random.default_rng(15)
-        mask = ObservationMask(rng.random((6, 5)) < 0.6)
-        x = project(rng.standard_normal((6, 5)), mask)
-        y = rng.standard_normal((6, 5))
+        x = rng.standard_normal(30)
+        y = rng.standard_normal(30)
         c = float(np.abs(x - y).max()) + 1.0
-        assert np.array_equal(pseudo_data(x, y, mask, c), x)
+        assert np.array_equal(pseudo_data(x, y, c), x)
 
     def test_clipped_cell(self):
-        mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
         c = 0.5
-        y = np.array([[1.0]])
-        z = pseudo_data(np.array([[1.0 + 2 * c]]), y, mask, c)
-        assert z[0, 0] == pytest.approx(1.0 + c)
-        z = pseudo_data(np.array([[1.0 - 2 * c]]), y, mask, c)
-        assert z[0, 0] == pytest.approx(1.0 - c)
-
-    def test_zero_off_mask(self):
-        rng = np.random.default_rng(16)
-        mask = ObservationMask(rng.random((4, 4)) < 0.5)
-        z = pseudo_data(project(rng.standard_normal((4, 4)), mask),
-                        rng.standard_normal((4, 4)), mask, 0.3)
-        assert not z[~mask.flags].any()
+        y = np.array([1.0])
+        z = pseudo_data(np.array([1.0 + 2 * c]), y, c)
+        assert z[0] == pytest.approx(1.0 + c)
+        z = pseudo_data(np.array([1.0 - 2 * c]), y, c)
+        assert z[0] == pytest.approx(1.0 - c)
 
     def test_matches_half_psi_identity(self):
-        # z = P(y) + psi(P(x) - P(y), c) / 2 on the mask, rebuilt both ways
+        # z = y + psi(x - y, c) / 2, rebuilt both ways
         rng = np.random.default_rng(17)
-        mask = ObservationMask(rng.random((5, 5)) < 0.7)
-        x = project(rng.standard_normal((5, 5)) * 3, mask)
-        y = rng.standard_normal((5, 5))
+        x = rng.standard_normal(25) * 3
+        y = rng.standard_normal(25)
         c = 0.4
-        z = pseudo_data(x, y, mask, c)
-        e = project(x, mask) - project(y, mask)
-        expected = project(y, mask) + 0.5 * psi(e, c)
-        assert np.allclose(z, project(expected, mask), atol=1e-12)
+        z = pseudo_data(x, y, c)
+        assert np.allclose(z, y + 0.5 * psi(x - y, c), atol=1e-12)
+
+    def test_observed_vectors_equal_the_dense_form_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        mask = ObservationMask(rng.random((40, 30)) < 0.5)
+        x = project(rng.standard_normal((40, 30)) * 3, mask)
+        y = rng.standard_normal((40, 30))
+        c = 0.7
+        dense = _dense_pseudo_data(x, y, mask.flags, c)
+        assert np.array_equal(pseudo_data(x[mask.flags], y[mask.flags], c), dense[mask.flags])
+        assert np.array_equal(np.where(mask.flags, pseudo_data(x, y, c), 0.0), dense)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            pseudo_data(np.zeros((2, 2)), np.zeros((2, 3)), ObservationMask.full(2, 2), 1.0)
+            pseudo_data(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            pseudo_data(np.zeros(4), np.zeros(5), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        ok = np.zeros(3)
+        with_bad = np.array([0.0, bad, 0.0])
+        for args in ((with_bad, ok), (ok, with_bad)):
+            with pytest.raises(DataValidationError, match="NaN or Inf"):
+                pseudo_data(*args, 1.0)
 
 
 class TestSoftThresholdScalar:

@@ -333,9 +333,24 @@ class TestPartialSvd:
 
         monkeypatch.setattr(scipy.sparse.linalg, "svds", spy)
         got = shrink_singular_values(m, self.GAMMA, 0)
-        assert asked == [5, 10]
+        assert asked == [1, 2, 4, 8]
         monkeypatch.undo()
         self._assert_matches_dense(got, _dense_shrink(monkeypatch, m, self.GAMMA))
+
+    def test_zero_hint_on_a_flat_spectrum_stays_partial(self, monkeypatch):
+        # pure noise: the top values sit close together, and PROPACK's
+        # default basis of 10 k vectors does not resolve even the first one
+        m = np.random.default_rng(21).standard_normal((240, 240))
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.sparse.linalg.svds(m, 1, solver="propack", rng=np.random.default_rng(0))
+        s = np.linalg.svd(m, compute_uv=False)
+        gamma = 0.5 * (s[0] + s[1])  # one value survives
+        want = _dense_shrink(monkeypatch, m, gamma)
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
+        got = shrink_singular_values(m, gamma, 0)
+        assert got[1].size < min(m.shape) and np.count_nonzero(got[1]) == 1
+        self._assert_matches_dense(got, want)
 
     def test_propack_failure_falls_back_to_lapack(self, monkeypatch):
         m = _low_rank_plus_noise(16)

@@ -45,6 +45,21 @@ class TestMatrixCsv:
         with pytest.raises(DimensionMismatchError, match=r"matrix shape \(2, 3\)"):
             format_matrix_csv(np.ones((2, 3)), mask)
 
+    def test_written_bytes_are_the_formatted_text(self, tmp_path):
+        rng = np.random.default_rng(74)
+        m = rng.standard_normal((9, 4))
+        mask = ObservationMask(rng.random((9, 4)) < 0.5)
+        path = tmp_path / "m.csv"
+        for args in ((m,), (np.where(mask.flags, m, 0.0), mask)):
+            write_matrix_csv(path, *args)
+            assert path.read_bytes() == format_matrix_csv(*args).encode("utf-8")
+
+    def test_rejected_write_leaves_no_file(self, tmp_path):
+        mask = ObservationMask(np.ones((3, 2), dtype=bool))
+        with pytest.raises(DimensionMismatchError):
+            write_matrix_csv(tmp_path / "m.csv", np.ones((2, 3)), mask)
+        assert list(tmp_path.iterdir()) == []
+
     def test_na_token(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.5,NA\n,2.5\n")

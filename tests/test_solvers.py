@@ -21,7 +21,9 @@ from robustmc import (
 
 from robustmc import matcore
 
-from oracles import completion_oracle, completion_objective
+from robustmc import solvers
+
+from oracles import completion_oracle, completion_objective, dense_reference_path
 
 
 def make_instance(seed, n1=12, n2=10, rank=2, noise=0.05, outlier_frac=0.0,
@@ -386,6 +388,54 @@ class TestStageKernel:
         assert general_robust(prob, gammas[2], SolverConfig(cutoff=0.3)).cutoff == 0.3
         assert all(s.cutoff is None for s in soft_impute_path(prob, SolverConfig(gamma_path=gammas)))
         assert soft_impute(prob, gammas[0]).cutoff is None
+
+
+class TestObservedEntryKernel:
+    """The stage works on vectors of observed entries; it must take the same
+    steps as the whole-matrix kernel it replaced."""
+
+    @pytest.mark.parametrize("n", [100, 240])  # 240: partial SVDs
+    @pytest.mark.parametrize("robust", [True, False])
+    def test_stages_match_the_dense_reference(self, n, robust):
+        _, prob = make_instance(54, n1=n, n2=n, rank=5, outlier_frac=0.1, observed=0.5)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 6))
+        gammas = cfg.gamma_path
+        if robust:
+            path = robust_impute(prob, cfg)
+            cutoffs = [choose_cutoff(g, n, n, prob.observed_fraction) for g in gammas]
+        else:
+            path = soft_impute_path(prob, cfg)
+            cutoffs = [None] * len(gammas)
+        ref = dense_reference_path(prob, gammas, cutoffs, cfg.epsilon, cfg.max_inner_iters)
+        for got, (y, iterations, svd_count, converged, trace) in zip(path, ref):
+            assert np.array_equal(got.y_hat, y)
+            assert (got.iterations, got.svd_count, got.converged) == (
+                iterations, svd_count, converged)
+            assert np.allclose(got.objective_trace, trace, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("robust", [True, False])
+    def test_huber_calls_go_through_the_solvers_namespace(self, robust, monkeypatch):
+        # the per-layer benchmark times these two names; a stage that stopped
+        # calling them would read zero there
+        calls = {"pseudo_data": 0, "huber_norm_sq": 0}
+        for name in calls:
+            real = getattr(solvers, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        _, prob = make_instance(55, outlier_frac=0.1)
+        cfg = SolverConfig(gamma_path=default_gamma_path(prob, 5))
+        path = (robust_impute if robust else soft_impute_path)(prob, cfg)
+        steps = sum(s.iterations for s in path)
+        values = sum(len(s.objective_trace) for s in path)
+        assert steps > 0
+        if robust:
+            assert calls == {"pseudo_data": steps, "huber_norm_sq": values}
+        else:
+            assert calls == {"pseudo_data": 0, "huber_norm_sq": 0}
 
 
 class TestObjectiveOverflow:

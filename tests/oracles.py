@@ -72,6 +72,13 @@ def completion_oracle(x, flags, gamma, step=0.6, obj_tol=1e-11, max_iters=500000
     raise AssertionError("completion oracle failed to converge")
 
 
+def dense_pseudo_data(x, y, flags, c):
+    """The Huber surrogates as the solvers once built them: over whole
+    matrices, zero off the mask."""
+    e = x - y
+    return np.where(flags, np.where(e > c, y + c, np.where(e < -c, y - c, x)), 0.0)
+
+
 def dense_reference_path(problem, gammas, cutoffs, epsilon, max_iters):
     """The shrinkage-stage kernel as it once ran, on whole matrices.
 
@@ -110,11 +117,7 @@ def dense_reference_path(problem, gammas, cutoffs, epsilon, max_iters):
         trace = [objective(y, gamma, c, nuc)]
         converged, iterations = False, 0
         for it in range(1, max_iters + 1):
-            if c is None:
-                fill = x
-            else:
-                e = x - y
-                fill = np.where(e > c, y + c, np.where(e < -c, y - c, x))
+            fill = x if c is None else dense_pseudo_data(x, y, flags, c)
             y_new, shrunk = shrink_singular_values(np.where(flags, fill, y), gamma, rank)
             svds += 1
             nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)

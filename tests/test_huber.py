@@ -17,6 +17,8 @@ from robustmc import (
     soft_threshold_scalar,
 )
 
+from oracles import dense_pseudo_data
+
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
@@ -107,13 +109,6 @@ class TestHuberNormSq:
         assert huber_norm_sq(m, c) == pytest.approx(frobenius_norm_sq(m), rel=1e-12)
 
 
-def _dense_pseudo_data(x, y, flags, c):
-    """The surrogate rule as the solvers once applied it: on whole matrices,
-    zero off the mask."""
-    e = x - y
-    return np.where(flags, np.where(e > c, y + c, np.where(e < -c, y - c, x)), 0.0)
-
-
 class TestPseudoData:
     def test_quadratic_regime_passes_observations_through_exactly(self):
         rng = np.random.default_rng(15)
@@ -145,7 +140,7 @@ class TestPseudoData:
         x = project(rng.standard_normal((40, 30)) * 3, mask)
         y = rng.standard_normal((40, 30))
         c = 0.7
-        dense = _dense_pseudo_data(x, y, mask.flags, c)
+        dense = dense_pseudo_data(x, y, mask.flags, c)
         assert np.array_equal(pseudo_data(x[mask.flags], y[mask.flags], c), dense[mask.flags])
         assert np.array_equal(np.where(mask.flags, pseudo_data(x, y, c), 0.0), dense)
 

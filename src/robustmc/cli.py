@@ -5,7 +5,7 @@ Four subcommands: `complete` (matrix completion from a CSV), `outliers`
 `inpaint` (image degradation + recovery study).  Every run writes a
 manifest.json carrying the fully resolved configuration, the tool version,
 the master seed and the numeric environment (numpy and scipy versions, BLAS
-thread variables), which is sufficient to reproduce the outputs exactly.
+build and thread variables), which is sufficient to reproduce the outputs exactly.
 
 Flag values are checked before any input is read, by building the library
 types they describe (SolverConfig, SyntheticSpec, MissingSpec,
@@ -218,6 +218,7 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _write_manifest(out_dir, command, args, extra=None):
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "command": command,
         "tool": "robustmc",
@@ -228,6 +229,7 @@ def _write_manifest(out_dir, command, args, extra=None):
         "environment": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
             **{var: os.environ.get(var) for var in THREAD_VARIABLES},
         },
     }

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataValidationError, DimensionMismatchError, SvdError
 
@@ -210,35 +209,73 @@ def frobenius_norm_sq(m) -> float:
 # is at least PARTIAL_MIN_SIDE, asks for PARTIAL_MARGIN more triplets than
 # the previous iterate kept (the one at or below gamma), and gives up once
 # PARTIAL_SHARE times the number asked for exceeds the shorter side: past
-# that, PROPACK is no faster than a full SVD.
+# that, the Lanczos basis is no cheaper than a full SVD.
 PARTIAL_MIN_SIDE = 200
 PARTIAL_MARGIN = 1
 PARTIAL_SHARE = 8
+# A Ritz triplet converges at a residual of LANCZOS_TOL times the top Ritz value; a
+# basis vector under LANCZOS_BREAKDOWN times the top bidiagonal entry ends the basis.
+LANCZOS_TOL = 1e-11
+LANCZOS_BREAKDOWN = 1e-13
 
 
 def _partial_svd(m: np.ndarray, gamma: float, rank: int):
     """Leading singular triplets of ``m``, descending, down to one at or
-    below ``gamma``; None when PROPACK fails or too many would be needed.
+    below ``gamma``; None when too many are needed, the basis closes or an SVD fails.
 
+    Golub-Kahan-Lanczos bidiagonalisation, fully reorthogonalised: the Ritz
+    triplet (s, U_j p, V_j q) of the bidiagonal B_j has residual beta_j |p_j|.
     Every singular value left out is at most the smallest one returned, so
     soft-thresholding the returned spectrum by ``gamma`` is exact.
     """
-    # imported here, not at module level: it costs about 25 ms and 2.3 MiB
-    # per process, which runs that never take a partial SVD should not pay
-    from scipy.sparse.linalg import svds
-
+    (n1, n2), nmin = m.shape, min(m.shape)
     k = rank + PARTIAL_MARGIN
-    while PARTIAL_SHARE * k <= min(m.shape):
+    if PARTIAL_SHARE * k > nmin:
+        return None
+    # the bases are rows, so each Gram-Schmidt pass is two matrix-vector products
+    u_rows, v_rows = np.empty((nmin, n1)), np.empty((nmin + 1, n2))
+    alpha, beta = np.empty(nmin), np.empty(nmin)
+    start = np.random.default_rng(0).standard_normal(n2)
+    v_rows[0] = start / np.sqrt(start @ start)
+    scale, check, last = 0.0, 2 * k + 6, None
+    for j in range(nmin):
+        w = m @ v_rows[j] - (beta[j - 1] * u_rows[j - 1] if j else 0.0)
+        w -= u_rows[:j].T @ (u_rows[:j] @ w)
+        alpha[j] = np.sqrt(w @ w)
+        if alpha[j] <= LANCZOS_BREAKDOWN * scale:
+            return None
+        u_rows[j] = w / alpha[j]
+        w = m.T @ u_rows[j] - alpha[j] * v_rows[j]
+        w -= v_rows[:j + 1].T @ (v_rows[:j + 1] @ w)
+        beta[j] = np.sqrt(w @ w)
+        scale = max(scale, alpha[j], beta[j])
+        if beta[j] <= LANCZOS_BREAKDOWN * scale:
+            return None
+        v_rows[j + 1] = w / beta[j]
+        n = j + 1
+        if n < check:
+            continue
         try:
-            # a Lanczos basis of at least 50: scipy's 10 k often fails for k of 1 or 2
-            u, s, vt = svds(m, k, solver="propack", maxiter=max(10 * k, 50),
-                            rng=np.random.default_rng(0))
+            p, s, qt = np.linalg.svd(np.diag(alpha[:n]) + np.diag(beta[:n - 1], 1))
         except np.linalg.LinAlgError:
             return None
-        if s.min() <= gamma:
-            order = np.argsort(s, kind="stable")[::-1]
-            return u[:, order], s[order], vt[order]
-        k *= 2
+        # Ritz values are never above the singular values they approximate,
+        # so one above gamma shows that k is too small before it converges
+        while k <= n and s[k - 1] > gamma:
+            k, last = 2 * k, None
+        if PARTIAL_SHARE * k > nmin:
+            return None
+        if k > n:
+            check = 2 * k + 6
+            continue
+        tol, residual = LANCZOS_TOL * s[0], beta[j] * np.abs(p[j, :k]).max()
+        if residual <= tol:
+            return u_rows[:n].T @ p[:, :k], s[:k], qt[:k] @ v_rows[:n]
+        # check next where the residual's decay puts convergence, n/8 to n/3 steps on
+        step = max(4, n // 3)
+        if last is not None and residual < last[1]:
+            step = int(np.ceil(np.log(tol / residual) * (n - last[0]) / np.log(residual / last[1])))
+        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, residual)
     return None
 
 
@@ -258,6 +295,7 @@ def _raw_svd(m: np.ndarray, gamma=None, rank: int = 0):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
+    import scipy.linalg  # here, not at the top: it costs a process about 0.36 s and 28 MiB
     try:
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     except Exception as exc:

@@ -252,8 +252,8 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     iterations = 0
     shrunk = np.zeros(0)
     for it in range(1, max_iters + 1):
-        fill = np.array(y, dtype=float)
-        np.put(fill, obs, x_obs if c is None else pseudo_data(x_obs, y_obs, c))
+        fill = np.array(y, dtype=float, order="C")  # so the flat reshape is a view
+        fill.reshape(-1)[obs] = x_obs if c is None else pseudo_data(x_obs, y_obs, c)
         y_new, shrunk = shrink_singular_values(fill, gamma, rank)
         svds += 1
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)

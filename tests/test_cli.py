@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import scipy
 import scipy.linalg
 
+import robustmc
 from robustmc import ObservationMask, SvdError
 from robustmc.cli import BENCH_CSV_HEADER, main
 from robustmc.matio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
@@ -74,13 +78,42 @@ class TestComplete:
         out = tmp_path / "out"
         assert main(["complete", str(src), "--gamma-count", "3", "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["environment"] == {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "2",
             "MKL_NUM_THREADS": None,
         }
+
+    def test_a_partial_svd_run_loads_no_scipy_linalg_or_sparse(self, tmp_path):
+        # importing either costs a process about 0.3 s and 30 MiB; only the
+        # gesvd fallback may load scipy.linalg
+        src = tmp_path / "in.csv"
+        write_fixture_csv(src, n=240)
+        script = f"""
+import json, sys
+from robustmc import cli, matcore
+real, taken = matcore._partial_svd, []
+
+def spied(*args):
+    result = real(*args)
+    taken.append(result is not None)
+    return result
+
+matcore._partial_svd = spied
+code = cli.main(["complete", {str(src)!r}, "--gamma-count", "3",
+                 "--out-dir", {str(tmp_path / "out")!r}])
+print(json.dumps({{"code": code, "partial": any(taken), "loaded": sorted(
+    m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse")))}}))
+"""
+        src_dir = os.path.dirname(os.path.dirname(robustmc.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert json.loads(run.stdout) == {"code": 0, "partial": True, "loaded": []}
 
     @pytest.mark.parametrize("flags,cutoff", [(["--c", "0.5"], 0.5), (["--no-robust"], None)])
     def test_diagnostics_report_the_cutoff_used(self, tmp_path, flags, cutoff):

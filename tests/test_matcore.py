@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from robustmc import (
     DataValidationError,
@@ -297,6 +296,35 @@ def _dense_shrink(monkeypatch, m, gamma, rank=0):
         return shrink_singular_values(m, gamma, rank)
 
 
+def _fail_full_svd(monkeypatch, shape):
+    """Make np.linalg.svd raise on matrices of ``shape``, and only those."""
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if a.shape == shape:
+            raise AssertionError(f"full SVD taken of a {shape} matrix")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
+
+
+class _CountingMatrix:
+    """A matrix seen only through shape, @ and .T, counting its products."""
+
+    def __init__(self, m, products=None):
+        self.m, self.shape = m, m.shape
+        self.products = [0] if products is None else products
+
+    def __matmul__(self, x):
+        self.products[0] += 1
+        return self.m @ x
+
+    @property
+    def T(self):
+        return _CountingMatrix(self.m.T, self.products)
+
+
 class TestPartialSvd:
     # gamma 3 sits above all the noise values but one (about 3.04), so six
     # values survive and the first tries of k are too small
@@ -323,39 +351,59 @@ class TestPartialSvd:
         assert np.allclose(m @ vt.T, u * s, atol=1e-10 * s[0])
 
     def test_too_small_rank_hint_grows_k(self, monkeypatch):
+        # a zero hint asks for 1 triplet; the guard doubles k to 2, 4 and 8
+        # in the same basis, and no full SVD of m is taken
         m = _low_rank_plus_noise(15)
-        asked = []
-        real = scipy.sparse.linalg.svds
-
-        def spy(a, k, *args, **kwargs):
-            asked.append(k)
-            return real(a, k, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", spy)
+        want = _dense_shrink(monkeypatch, m, self.GAMMA)
+        _fail_full_svd(monkeypatch, m.shape)
         got = shrink_singular_values(m, self.GAMMA, 0)
-        assert asked == [1, 2, 4, 8]
-        monkeypatch.undo()
-        self._assert_matches_dense(got, _dense_shrink(monkeypatch, m, self.GAMMA))
+        assert got[1].size == 8
+        self._assert_matches_dense(got, want)
 
     def test_zero_hint_on_a_flat_spectrum_stays_partial(self, monkeypatch):
-        # pure noise: the top values sit close together, and PROPACK's
-        # default basis of 10 k vectors does not resolve even the first one
+        # pure noise: the top values sit close together, so the first one
+        # converges slowly
         m = np.random.default_rng(21).standard_normal((240, 240))
-        with pytest.raises(np.linalg.LinAlgError):
-            scipy.sparse.linalg.svds(m, 1, solver="propack", rng=np.random.default_rng(0))
         s = np.linalg.svd(m, compute_uv=False)
         gamma = 0.5 * (s[0] + s[1])  # one value survives
         want = _dense_shrink(monkeypatch, m, gamma)
-        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
-        monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
+        _fail_full_svd(monkeypatch, m.shape)
         got = shrink_singular_values(m, gamma, 0)
         assert got[1].size < min(m.shape) and np.count_nonzero(got[1]) == 1
         self._assert_matches_dense(got, want)
 
-    def test_propack_failure_falls_back_to_lapack(self, monkeypatch):
+    def test_repeated_top_value_is_kept_in_full(self, monkeypatch):
+        # one start vector sees a single copy of a repeated singular value in
+        # exact arithmetic; the basis must grow until rounding brings in the
+        # other two before the values at 10 count as converged
+        rng = np.random.default_rng(22)
+        q1, _ = np.linalg.qr(rng.standard_normal((240, 240)))
+        q2, _ = np.linalg.qr(rng.standard_normal((240, 240)))
+        m = (q1 * np.r_[10.0, 10.0, 10.0, np.linspace(4.0, 0.1, 237)]) @ q2.T
+        got = shrink_singular_values(m, 5.0, 0)
+        assert got[1].size < min(m.shape) and np.count_nonzero(got[1]) == 3
+        self._assert_matches_dense(got, _dense_shrink(monkeypatch, m, 5.0))
+
+    def test_exactly_low_rank_falls_back_to_lapack(self, monkeypatch):
+        # rank 3: the basis closes after three steps (an invariant subspace)
+        m = _low_rank_plus_noise(23, rank=3, noise=0.0)
+        want = _dense_shrink(monkeypatch, m, 1.0)
+        assert matcore._partial_svd(m, 1.0, 3) is None
+        out, shrunk = shrink_singular_values(m, 1.0, 3)
+        assert shrunk.size == min(m.shape)
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    def test_lanczos_failure_falls_back_to_lapack(self, monkeypatch):
         m = _low_rank_plus_noise(16)
         want = _dense_shrink(monkeypatch, m, self.GAMMA)
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", _fail_svd)
+        real = np.linalg.svd
+
+        def small_svd_fails(a, *args, **kwargs):
+            if a.shape != m.shape:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", small_svd_fails)
         out, shrunk = shrink_singular_values(m, self.GAMMA, 6)
         assert shrunk.size == min(m.shape)
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
@@ -367,17 +415,30 @@ class TestPartialSvd:
         assert shrunk.size == min(m.shape)
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
 
+    def test_too_many_survivors_stop_the_basis_early(self):
+        # every value survives: k doubles at each check until 8 k passes the
+        # side, which happens long before the basis could fill the side
+        m = _CountingMatrix(_low_rank_plus_noise(17))
+        assert matcore._partial_svd(m, 0.01, 0) is None
+        assert 0 < m.products[0] < 120
+
+    def test_takes_any_matrix_vector_product(self):
+        m = _low_rank_plus_noise(20)
+        got = matcore._partial_svd(_CountingMatrix(m), self.GAMMA, 6)
+        assert all(np.array_equal(a, b) for a, b in zip(got, matcore._partial_svd(m, self.GAMMA, 6)))
+
     def test_reruns_are_bitwise_equal(self):
         m = _low_rank_plus_noise(18)
         a = shrink_singular_values(m, self.GAMMA, 0)
         b = shrink_singular_values(m, self.GAMMA, 0)
+        assert a[1].size < min(m.shape)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_small_matrices_stay_on_the_full_svd(self, monkeypatch):
         def no_partial(*args, **kwargs):
             raise AssertionError("partial SVD taken on a 199-side matrix")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_partial)
+        monkeypatch.setattr(matcore, "_partial_svd", no_partial)
         m = _low_rank_plus_noise(19, n=199)
         _, shrunk = shrink_singular_values(m, self.GAMMA, 6)
         assert shrunk.size == 199

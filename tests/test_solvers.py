@@ -175,6 +175,15 @@ class TestSoftImpute:
         assert sol.converged
         assert np.linalg.matrix_rank(sol.y_hat) <= 1
 
+    def test_fortran_ordered_warm_start_fills_the_observed_entries(self):
+        # the fill is scattered through a flat view, which must not be a copy
+        _, prob = make_instance(34)
+        y0 = soft_impute(prob, 2.0).y_hat
+        a = soft_impute(prob, 0.9, y0)
+        b = soft_impute(prob, 0.9, np.asfortranarray(y0))
+        assert np.array_equal(a.y_hat, b.y_hat)
+        assert a.objective_trace == b.objective_trace
+
     def test_deterministic(self):
         _, prob = make_instance(33)
         a = soft_impute(prob, 0.9)

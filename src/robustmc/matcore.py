@@ -279,18 +279,60 @@ def _partial_svd(m: np.ndarray, gamma: float, rank: int):
     return None
 
 
+# A dense shrinkage takes the eigendecomposition of the Gram matrix on the
+# shorter side when the largest singular value is at most GRAM_RATIO times
+# gamma: eigh's absolute error of about eps * s1**2 then leaves a value near
+# gamma with a relative error of about eps * GRAM_RATIO**2, near 1e-11.  The
+# Gram of a matrix whose largest magnitude lies outside [GRAM_MIN, GRAM_MAX]
+# would overflow or lose its small entries to underflow.
+GRAM_RATIO = 200
+GRAM_MIN, GRAM_MAX = 2.0 ** -450, 2.0 ** 450
+
+
+def _gram_svd(m: np.ndarray, gamma: float):
+    """Leading singular triplets of ``m``, descending, down to one at or
+    below ``gamma``, from ``eigh`` of the Gram matrix on the shorter side;
+    None when ``m`` is out of the Gram's range, ``eigh`` fails or the
+    largest singular value passes GRAM_RATIO times ``gamma``.
+    """
+    top = max(m.max(), -m.min())
+    if not GRAM_MIN <= top <= GRAM_MAX:
+        return None
+    wide = m.shape[0] < m.shape[1]
+    a = m.T if wide else m
+    try:
+        lam, w = np.linalg.eigh(a.T @ a)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    if s[0] > GRAM_RATIO * gamma:
+        return None
+    k = min(np.count_nonzero(s > gamma) + 1, s.size)
+    s = s[:k]
+    w = w[:, :-k - 1:-1].copy()  # contiguous: a reversed view makes the product as slow as LAPACK
+    x = a @ w
+    np.divide(x, s, out=x, where=s > 0.0)
+    return (w, s, x.T) if wide else (x, s, w.T)
+
+
 def _raw_svd(m: np.ndarray, gamma=None, rank: int = 0):
     """Thin SVD of ``m``, with a slower-but-sturdier LAPACK driver as fallback.
 
-    Given a positive ``gamma`` and a matrix whose shorter side is at least
-    PARTIAL_MIN_SIDE, first tries a partial SVD that returns only the
-    triplets a soft threshold at ``gamma`` can keep, plus one at or below
-    it; ``rank`` (the previous iterate's kept count) sizes the first try.
+    Given a positive ``gamma``, returns only the triplets a soft threshold at
+    ``gamma`` can keep, plus one at or below it, when it can: first from a
+    partial SVD if the shorter side is at least PARTIAL_MIN_SIDE (``rank``,
+    the previous iterate's kept count, sizes its first try), then from the
+    Gram matrix's eigendecomposition (`_gram_svd`).  The Gram is refused when
+    the largest singular value passes GRAM_RATIO times ``gamma``, when
+    ``eigh`` fails and when the largest magnitude in ``m`` lies outside
+    [GRAM_MIN, GRAM_MAX]; each of these falls through to the full LAPACK SVD.
     """
-    if gamma is not None and gamma > 0 and min(m.shape) >= PARTIAL_MIN_SIDE:
-        partial = _partial_svd(m, gamma, rank)
-        if partial is not None:
-            return partial
+    if gamma is not None and gamma > 0:
+        leading = _partial_svd(m, gamma, rank) if min(m.shape) >= PARTIAL_MIN_SIDE else None
+        if leading is None:
+            leading = _gram_svd(m, gamma)
+        if leading is not None:
+            return leading
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -325,12 +367,16 @@ def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     """Soft-threshold the spectrum of ``m`` by ``gamma``.
 
     Returns ``(out, shrunk)`` where ``shrunk`` holds the thresholded singular
-    values of ``m`` (these are exactly the singular values of ``out``).  On a
-    large matrix only the leading part of the spectrum may be computed (see
-    `_raw_svd`, which ``rank`` hints), so ``shrunk`` can be shorter than the
-    shorter side; the values it leaves out are all zero.  With ``gamma`` = 0
-    the input is returned unchanged, bit for bit, so that a zero-shrinkage
-    step is an exact identity.
+    values of ``m`` (these are exactly the singular values of ``out``).  For
+    any positive ``gamma`` only the leading part of the spectrum may be
+    computed, by a partial SVD on a large matrix or from the Gram matrix's
+    eigendecomposition (see `_raw_svd`, which ``rank`` hints), so ``shrunk``
+    can be shorter than the shorter side; the values it leaves out are all
+    zero.  The Gram is refused, for the full LAPACK SVD, when the largest
+    singular value passes GRAM_RATIO times ``gamma``, when ``eigh`` fails or
+    when ``m`` is out of the Gram's range.  With ``gamma`` = 0 the input is
+    returned unchanged, bit for bit, so that a zero-shrinkage step is an
+    exact identity.
     """
     if not gamma >= 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")

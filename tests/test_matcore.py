@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -309,6 +311,32 @@ def _fail_full_svd(monkeypatch, shape):
     monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
 
 
+def _fail_small_svd(monkeypatch, shape):
+    """Make np.linalg.svd raise on every shape but ``shape``: the Lanczos's
+    bidiagonal SVDs fail."""
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if a.shape != shape:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+def _no_partial(*args, **kwargs):
+    raise AssertionError("partial SVD taken")
+
+
+def _lapack_shrink(m, gamma):
+    """The shrinkage from numpy's full SVD, as `shrink_singular_values`
+    composes it."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    shrunk = np.maximum(s - gamma, 0.0)
+    keep = shrunk > 0.0
+    return (u[:, keep] * shrunk[keep]) @ vt[keep], shrunk
+
+
 class _CountingMatrix:
     """A matrix seen only through shape, @ and .T, counting its products."""
 
@@ -393,17 +421,21 @@ class TestPartialSvd:
         assert shrunk.size == min(m.shape)
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
 
-    def test_lanczos_failure_falls_back_to_lapack(self, monkeypatch):
+    def test_lanczos_failure_falls_back_to_the_gram(self, monkeypatch):
         m = _low_rank_plus_noise(16)
         want = _dense_shrink(monkeypatch, m, self.GAMMA)
-        real = np.linalg.svd
+        _fail_small_svd(monkeypatch, m.shape)
+        _fail_full_svd(monkeypatch, m.shape)
+        out, shrunk = shrink_singular_values(m, self.GAMMA, 6)
+        assert shrunk.size < min(m.shape)
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
 
-        def small_svd_fails(a, *args, **kwargs):
-            if a.shape != m.shape:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", small_svd_fails)
+    def test_lanczos_failure_falls_back_to_lapack(self, monkeypatch):
+        # with the Gram guarded off, the hop after the Lanczos is LAPACK's
+        m = _low_rank_plus_noise(16)
+        want = _lapack_shrink(m, self.GAMMA)
+        _fail_small_svd(monkeypatch, m.shape)
+        monkeypatch.setattr(matcore, "GRAM_RATIO", 0.0)
         out, shrunk = shrink_singular_values(m, self.GAMMA, 6)
         assert shrunk.size == min(m.shape)
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
@@ -435,10 +467,105 @@ class TestPartialSvd:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_small_matrices_stay_on_the_full_svd(self, monkeypatch):
-        def no_partial(*args, **kwargs):
-            raise AssertionError("partial SVD taken on a 199-side matrix")
-
-        monkeypatch.setattr(matcore, "_partial_svd", no_partial)
+        # with the Gram guarded off, a 199-side matrix takes LAPACK's full SVD
+        monkeypatch.setattr(matcore, "_partial_svd", _no_partial)
+        monkeypatch.setattr(matcore, "GRAM_RATIO", 0.0)
         m = _low_rank_plus_noise(19, n=199)
         _, shrunk = shrink_singular_values(m, self.GAMMA, 6)
         assert shrunk.size == 199
+
+    def test_small_matrices_take_the_gram(self, monkeypatch):
+        m = _low_rank_plus_noise(19, n=199)
+        monkeypatch.setattr(matcore, "_partial_svd", _no_partial)
+        _fail_full_svd(monkeypatch, m.shape)
+        _, shrunk = shrink_singular_values(m, self.GAMMA, 6)
+        assert shrunk.size < 199 and shrunk[-1] == 0.0
+
+
+def _eigh_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("Gram eigendecomposition taken")
+
+
+class TestGramSvd:
+    """The dense shrinkage from eigh of the Gram matrix, against numpy's SVD
+    (a different method), and each guard's fall-through to LAPACK."""
+
+    @staticmethod
+    def _matrix(shape, seed=30, rank=10):
+        rng = np.random.default_rng(seed)
+        n1, n2 = shape
+        return rng.standard_normal((n1, rank)) @ rng.standard_normal((rank, n2)) \
+            + rng.standard_normal(shape)
+
+    @staticmethod
+    def _assert_matches_lapack(got, want, rtol=1e-12):
+        (out, shrunk), (ref, ref_shrunk) = got, want
+        assert np.count_nonzero(shrunk) == np.count_nonzero(ref_shrunk)
+        unit = np.abs(ref).max()  # keeps the norms of huge or tiny matrices in range
+        assert np.linalg.norm((out - ref) / unit) <= rtol * np.linalg.norm(ref / unit)
+        assert abs(shrunk.sum() - ref_shrunk.sum()) <= rtol * ref_shrunk.sum()
+
+    @pytest.mark.parametrize("shape", [(100, 100), (120, 80), (80, 120)])
+    @pytest.mark.parametrize("fraction", [0.006, 0.05, 0.3, 0.95])
+    def test_matches_numpy_svd(self, monkeypatch, shape, fraction):
+        m = self._matrix(shape)
+        gamma = fraction * np.linalg.svd(m, compute_uv=False)[0]
+        want = _lapack_shrink(m, gamma)
+        _fail_full_svd(monkeypatch, shape)  # the Gram must serve
+        got = shrink_singular_values(m, gamma)
+        assert got[1].size == min(np.count_nonzero(want[1]) + 1, min(shape))
+        self._assert_matches_lapack(got, want)
+
+    def test_triplets_are_singular_triplets(self):
+        m = self._matrix((80, 120))
+        u, s, vt = matcore._gram_svd(m, 5.0)
+        assert s.size < 80 and s[-1] <= 5.0 < s[-2]
+        assert np.all(np.diff(s) <= 0)
+        assert np.allclose(m @ vt.T, u * s, atol=1e-12 * s[0])
+        assert np.allclose(u.T @ u, np.eye(s.size), atol=1e-12)
+
+    def test_ratio_guard_lands_on_lapack(self):
+        m = self._matrix((100, 100))
+        s1 = np.linalg.svd(m, compute_uv=False)[0]
+        inside, outside = s1 / (0.999 * matcore.GRAM_RATIO), s1 / (1.001 * matcore.GRAM_RATIO)
+        assert shrink_singular_values(m, inside)[1].size < 100
+        want = _lapack_shrink(m, outside)
+        out, shrunk = shrink_singular_values(m, outside)
+        assert shrunk.size == 100
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    def test_eigh_failure_lands_on_lapack(self, monkeypatch):
+        m = self._matrix((100, 100))
+        want = _lapack_shrink(m, 5.0)
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_fails)
+        out, shrunk = shrink_singular_values(m, 5.0)
+        assert shrunk.size == 100
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    @pytest.mark.parametrize("scale", [2.0 ** -451, 2.0 ** 451])
+    def test_out_of_range_lands_on_lapack(self, monkeypatch, scale):
+        m = self._matrix((100, 100))
+        m *= scale / np.abs(m).max()
+        gamma = 0.3 * np.linalg.svd(m, compute_uv=False)[0]
+        want = _lapack_shrink(m, gamma)
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+        out, shrunk = shrink_singular_values(m, gamma)
+        assert shrunk.size == 100
+        assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-130, 1e130, 1e160, 1e200])
+    def test_scaled_matrices_match_lapack(self, scale):
+        # a Gram formed without the range guard keeps 0 values at 1e-200 and
+        # 1 at 1e160 here, where LAPACK keeps most of the 40
+        m = scale * np.random.default_rng(31).standard_normal((50, 40))
+        gamma = 0.2 * np.linalg.svd(m, compute_uv=False)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = shrink_singular_values(m, gamma)
+        want = _lapack_shrink(m, gamma)
+        assert np.count_nonzero(want[1]) > 20
+        self._assert_matches_lapack(got, want)

@@ -6,9 +6,11 @@ from robustmc import (
     ObservationMask,
     Problem,
     SolverConfig,
+    SyntheticSpec,
     choose_cutoff,
     default_gamma_path,
     general_robust,
+    generate_synthetic,
     objective_f,
     objective_g,
     robust_impute,
@@ -20,6 +22,7 @@ from robustmc import (
 )
 
 from robustmc import matcore
+from robustmc import test_error as metric_test_error
 
 from robustmc import solvers
 
@@ -445,6 +448,34 @@ class TestObservedEntryKernel:
             assert calls == {"pseudo_data": steps, "huber_norm_sq": values}
         else:
             assert calls == {"pseudo_data": 0, "huber_norm_sq": 0}
+
+
+class TestGramShrinkagePaths:
+    """A whole 100x100 path takes the same steps whether its dense
+    shrinkages come from the Gram matrix or from LAPACK."""
+
+    @pytest.mark.parametrize("solve", [robust_impute, soft_impute_path])
+    def test_path_matches_the_lapack_path(self, solve, monkeypatch):
+        instance = generate_synthetic(SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5, 1))
+        served = []
+        real_gram = matcore._gram_svd
+
+        def spied(*args):
+            result = real_gram(*args)
+            served.append(result is not None)
+            return result
+
+        monkeypatch.setattr(matcore, "_gram_svd", spied)
+        gram = solve(instance.problem())
+        assert served and all(served)
+        monkeypatch.setattr(matcore, "GRAM_RATIO", 0.0)
+        lapack = solve(instance.problem())
+        assert len(gram) == len(lapack) == 20
+        for got, want in zip(gram, lapack):
+            assert (got.iterations, got.svd_count, got.final_rank, got.converged) == (
+                want.iterations, want.svd_count, want.final_rank, want.converged)
+            want_error = metric_test_error(instance, want.y_hat)
+            assert abs(metric_test_error(instance, got.y_hat) - want_error) <= 1e-12 * want_error
 
 
 class TestObjectiveOverflow:

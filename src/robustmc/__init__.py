@@ -65,6 +65,7 @@ from .experiments import (
     generate_synthetic,
     replicate_seed,
     run_benchmark,
+    run_study,
     score_path,
     solve_path,
     summarize_by_rank,

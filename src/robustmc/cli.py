@@ -15,8 +15,8 @@ CLI has, is a usage error.
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
 non-UTF-8 input, an observed matrix that is all zero, a flat image, an
 objective that overflows float64, an SVD that fails, a failed `simulate`
-replicate), 3 at least one solve did not converge and --allow-nonconverged
-was absent.
+replicate or `inpaint` solve), 3 at least one solve did not converge and
+--allow-nonconverged was absent.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ import scipy
 from . import __version__
 from .errors import DataValidationError, RobustMcError
 from .experiments import (
-    BenchResult,
     DegradationSpec,
     MissingSpec,
     SyntheticSpec,
     degrade_image,
     replicate_seed,
     run_benchmark,
-    score_path,
+    run_study,
     solve_path,
     test_error,  # unused here; the layer tracer in bench/ binds this name
     training_error,  # unused here; the layer tracer in bench/ binds this name
@@ -158,14 +157,14 @@ def _flag_values():
         raise _UsageError(str(exc)) from None
 
 
-def _solver_config(args, robust) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     """The SolverConfig the solver flags describe, built before any input is
     read.  Its gamma path is None when the input sets it: for the automatic
-    path and for --gamma 0, which only squared loss takes."""
+    path and for --gamma 0, which only `complete --no-robust` takes."""
     if args.gamma is not None and args.gamma_path is not None:
         raise _UsageError("--gamma and --gamma-path are mutually exclusive")
-    if args.gamma == 0 and robust:
-        raise _UsageError("the robust solver needs positive gamma values")
+    if args.gamma == 0 and not getattr(args, "no_robust", False):
+        raise _UsageError("--gamma must be positive; only squared-loss completion takes 0")
     if args.gamma_count < 1:
         raise _UsageError("--gamma-count must be >= 1")
     gammas = None
@@ -181,17 +180,15 @@ def _solver_config(args, robust) -> SolverConfig:
                             epsilon=args.tol, max_inner_iters=args.max_iters)
 
 
-def _resolve_gammas(args, config, problem):
+def _solve_input(args, method, config) -> tuple:
+    """The input CSV's problem and `method`'s path along the flags' gamma
+    path, resolved from the problem when the flags leave it open; squared
+    loss also takes a single gamma of zero."""
+    problem = read_matrix_csv(args.input, header=args.header)
     if args.gamma == 0:
-        return [0.0]
-    return list(config.gamma_path or default_gamma_path(problem, args.gamma_count))
-
-
-def _solve_path(method, problem, gammas, config) -> PathSolution:
-    """Solve along `gammas`; squared loss also takes a single gamma of zero."""
-    if gammas[0] == 0:
-        return PathSolution((soft_impute(problem, 0.0, None, config),))
-    return solve_path(method, problem, dataclasses.replace(config, gamma_path=gammas))
+        return problem, PathSolution((soft_impute(problem, 0.0, None, config),))
+    gammas = config.gamma_path or default_gamma_path(problem, args.gamma_count)
+    return problem, solve_path(method, problem, dataclasses.replace(config, gamma_path=gammas))
 
 
 def _diagnostics_entries(method, path):
@@ -253,27 +250,23 @@ def _convergence_exit(args, ok) -> int:
 
 def cmd_complete(args) -> int:
     method = "soft" if args.no_robust else "robust"
-    config = _solver_config(args, robust=method == "robust")
+    config = _solver_config(args)
     out_dir = _ensure_out_dir(args)
-    problem = read_matrix_csv(args.input, header=args.header)
-    gammas = _resolve_gammas(args, config, problem)
-    path = _solve_path(method, problem, gammas, config)
+    _, path = _solve_input(args, method, config)
     write_matrix_csv(os.path.join(out_dir, "completed.csv"), path[-1].y_hat)
     _write_json(os.path.join(out_dir, "diagnostics.json"), {
         "input": args.input,
         "entries": _diagnostics_entries(method, path),
     })
     _write_manifest(out_dir, "complete", args,
-                    extra={"resolved_gamma_path": list(gammas)})
+                    extra={"resolved_gamma_path": list(path.gammas)})
     return _convergence_exit(args, path.all_converged)
 
 
 def cmd_outliers(args) -> int:
-    config = _solver_config(args, robust=True)
+    config = _solver_config(args)
     out_dir = _ensure_out_dir(args)
-    problem = read_matrix_csv(args.input, header=args.header)
-    gammas = _resolve_gammas(args, config, problem)
-    path = _solve_path("robust", problem, gammas, config)
+    problem, path = _solve_input(args, "robust", config)
     sol = path[-1]
     s_hat = extract_sparse(problem, sol.y_hat, sol.cutoff)
     write_matrix_csv(os.path.join(out_dir, "outliers.csv"), s_hat)
@@ -292,7 +285,7 @@ def cmd_outliers(args) -> int:
         "entries": _diagnostics_entries("robust", path),
     })
     _write_manifest(out_dir, "outliers", args,
-                    extra={"resolved_gamma_path": list(gammas)})
+                    extra={"resolved_gamma_path": list(path.gammas)})
     return _convergence_exit(args, path.all_converged)
 
 
@@ -308,13 +301,13 @@ def cmd_simulate(args) -> int:
     if args.gamma is not None or args.gamma_path is not None:
         raise _UsageError("simulate derives a gamma path per replicate; "
                           "set its length with --gamma-count")
-    config = _solver_config(args, robust=True)
+    config = _solver_config(args)
     methods = _methods_from(args)
     with _flag_values():
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
                              args.outlier_prob, args.missing_prob, seed=0)
-        # run_benchmark owns the replicate-count rule; on an empty grid it only checks
-        run_benchmark([], methods, args.replicates, args.seed)
+        # run_study owns the replicate-count rule; with no settings it only checks
+        run_study([], methods, args.replicates, config)
     out_dir = _ensure_out_dir(args)
     results = run_benchmark([spec], methods, args.replicates, args.seed, config,
                             args.gamma_count)
@@ -327,32 +320,27 @@ def cmd_simulate(args) -> int:
                 _format_float(rec.test_error), str(rec.svd_count),
             ]))
     atomic_write_text(os.path.join(out_dir, "results.csv"), "\n".join(lines) + "\n")
-    summary = []
-    any_failure = False
-    all_converged = True
-    for res in results:
-        all_converged &= all(rec.converged for rec in res.records)
-        any_failure |= bool(res.failures)
-        summary.append({
-            "setting": res.setting_id,
-            "method": res.method,
-            "replicates": res.replicates,
-            "mean_best_test_error": res.mean_best_test_error,
-            "per_rank": [dataclasses.asdict(s) for s in res.rank_summaries()],
-            "failures": [list(f) for f in res.failures],
-        })
+    summary = [{
+        "setting": res.setting_id,
+        "method": res.method,
+        "replicates": res.replicates,
+        "mean_best_test_error": res.mean_best_test_error,
+        "per_rank": [dataclasses.asdict(s) for s in res.rank_summaries()],
+        "failures": [list(f) for f in res.failures],
+    } for res in results]
     _write_json(os.path.join(out_dir, "results.json"), {"settings": summary})
     _write_manifest(out_dir, "simulate", args)
-    if any_failure:
+    if any(res.failures for res in results):
         sys.stderr.write("robustmc: some replicates failed; see results.json\n")
         return 2
-    return _convergence_exit(args, all_converged)
+    return _convergence_exit(args, all(r.converged for res in results for r in res.records))
 
 
 def cmd_inpaint(args) -> int:
     methods = _methods_from(args)
-    config = _solver_config(args, robust="robust" in methods)
+    config = _solver_config(args)
     with _flag_values():
+        run_study([], methods, args.replicates, config)
         noise = DegradationSpec(args.snr, args.outlier_frac, args.outlier_snr)
         if args.missing == "none":
             missing = MissingSpec.none()
@@ -366,35 +354,22 @@ def cmd_inpaint(args) -> int:
         ranks = [int(r) for r in str(args.ranks).split(",") if r.strip() != ""]
     except ValueError:
         raise _UsageError(f"--ranks: cannot parse {args.ranks!r}") from None
-    if args.replicates < 1:
-        raise _UsageError("--replicates must be >= 1")
     out_dir = _ensure_out_dir(args)
     img = read_pgm(args.image)
-    records = {m: [] for m in methods}
-    first_instance = None
-    first_recovered = {}
-    for rep in range(args.replicates):
-        inst = degrade_image(img, noise, missing, replicate_seed(args.seed, 0, rep))
-        problem = inst.problem()
-        gammas = _resolve_gammas(args, config, problem)
-        if first_instance is None:
-            first_instance = inst
-        for m in methods:
-            path = _solve_path(m, problem, gammas, config)
-            scored = score_path(inst, rep, path)
-            records[m] += scored
-            if rep == 0:
-                first_recovered[m] = path[int(np.argmin([r.test_error for r in scored]))].y_hat
-    results = {m: BenchResult(args.image, m, args.replicates, tuple(records[m]), ())
-               for m in methods}
-    write_pgm(os.path.join(out_dir, "degraded.pgm"),
-              np.where(first_instance.mask.flags, first_instance.x, 0.0))
-    for m, y in first_recovered.items():
+    results, first, recovered = run_study(
+        [(args.image, lambda rep: degrade_image(img, noise, missing,
+                                                replicate_seed(args.seed, 0, rep)))],
+        methods, args.replicates, config, args.gamma_count)
+    failures = [f for res in results for f in res.failures]
+    if failures:  # the first in solve order: replicate, then method
+        raise RobustMcError(min(failures, key=lambda f: f[0])[1])
+    write_pgm(os.path.join(out_dir, "degraded.pgm"), np.where(first.mask.flags, first.x, 0.0))
+    for m, y in recovered.items():
         write_pgm(os.path.join(out_dir, f"recovered_{m}.pgm"), y)
     # errors.json leaves out each summary's rank and its SVD count's standard error
     cells = {m: {s.rank: {k: v for k, v in dataclasses.asdict(s).items()
                           if k not in ("rank", "se_svd_count")}
-                 for s in res.rank_summaries()} for m, res in results.items()}
+                 for s in res.rank_summaries()} for m, res in zip(methods, results)}
     table = [{"rank": rank, "methods": {m: cells[m].get(rank) for m in methods}}
              for rank in ranks]
     _write_json(os.path.join(out_dir, "errors.json"), {
@@ -406,10 +381,10 @@ def cmd_inpaint(args) -> int:
         "outlier_snr": args.outlier_snr,
         "replicates": args.replicates,
         "ranks": table,
-        "mean_best_test_error": {m: res.mean_best_test_error for m, res in results.items()},
+        "mean_best_test_error": {res.method: res.mean_best_test_error for res in results},
     })
     _write_manifest(out_dir, "inpaint", args)
-    return _convergence_exit(args, all(r.converged for m in methods for r in records[m]))
+    return _convergence_exit(args, all(r.converged for res in results for r in res.records))
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ are generated and solved sequentially in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -392,39 +392,67 @@ def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution
             for gi, sol in enumerate(path)]
 
 
-def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
-                  replicates: int, seed: int, config: Optional[SolverConfig] = None,
-                  gamma_count: int = 20) -> list:
-    """Run each method over seeded replicates of each setting.
+def _solve_and_score(method, instance, replicate, problem, config) -> tuple:
+    """One method's stage records and its lowest-test-error stage estimate
+    (the first on ties); the path itself is released on return."""
+    path = solve_path(method, problem, config)
+    scored = score_path(instance, replicate, path)
+    return scored, path[int(np.argmin([r.test_error for r in scored]))].y_hat
 
-    The seed of each grid entry is ignored; instance seeds derive from the
-    master seed via `replicate_seed`, so two calls with equal arguments
-    return identical results.  All methods see the same instance and the
-    same gamma path within a replicate: config.gamma_path when it is set,
-    else a `gamma_count`-point path derived from the observed matrix.  A
-    method failure on one replicate is recorded and the run continues.
+
+def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
+              config: SolverConfig, gamma_count: int = 20) -> tuple:
+    """Solve and score each method along one gamma path per replicate.
+
+    `settings` yields (setting_id, instance_at) pairs; `instance_at(r)`
+    builds replicate r.  The methods of a replicate share its instance and
+    gamma path: config.gamma_path, else a `gamma_count`-point path derived
+    from the observed matrix.  A failed solve is recorded and the run goes
+    on.  The methods and the replicate count are checked before any
+    instance is built, so no `settings` only checks them.  Returns one
+    BenchResult per setting and method, replicate 0 of the first setting,
+    and each method's lowest-test-error stage estimate on that replicate.
     """
     if replicates < 1:
         raise DataValidationError(f"replicates must be >= 1, got {replicates}")
     for m in methods:
         if m not in METHODS:
             raise DataValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
-    config = config if config is not None else SolverConfig()
-    results = []
-    for spec_index, spec in enumerate(spec_grid):
+    results, first, estimates = [], None, {}
+    for setting_id, instance_at in settings:
         records = {m: [] for m in methods}
         failures = {m: [] for m in methods}
         for rep in range(replicates):
-            inst = generate_synthetic(replace(spec, seed=replicate_seed(seed, spec_index, rep)))
+            inst = instance_at(rep)
             problem = inst.problem()
             gammas = config.gamma_path or default_gamma_path(problem, gamma_count)
             rep_config = replace(config, gamma_path=gammas)
+            first = first or inst
             for m in methods:
                 try:
-                    records[m] += score_path(inst, rep, solve_path(m, problem, rep_config))
+                    scored, best = _solve_and_score(m, inst, rep, problem, rep_config)
                 except (RobustMcError, np.linalg.LinAlgError) as exc:
                     failures[m].append((rep, str(exc)))
+                    continue
+                records[m] += scored
+                if inst is first:
+                    estimates[m] = best
         for m in methods:
-            results.append(BenchResult(spec.setting_id, m, replicates,
+            results.append(BenchResult(setting_id, m, replicates,
                                        tuple(records[m]), tuple(failures[m])))
-    return results
+    return results, first, estimates
+
+
+def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
+                  replicates: int, seed: int, config: Optional[SolverConfig] = None,
+                  gamma_count: int = 20) -> list:
+    """Run each method over seeded replicates of each setting (`run_study`).
+
+    The seed of each grid entry is ignored; instance seeds derive from the
+    master seed via `replicate_seed`, so two calls with equal arguments
+    return identical results.
+    """
+    settings = ((spec.setting_id, lambda rep, i=i, spec=spec: generate_synthetic(
+        replace(spec, seed=replicate_seed(seed, i, rep)))) for i, spec in enumerate(spec_grid))
+    return run_study(settings, methods, replicates,
+                     config if config is not None else SolverConfig(), gamma_count)[0]

@@ -102,11 +102,6 @@ class ObservationMask:
     def complement(self) -> "ObservationMask":
         return ObservationMask(~self._flags)
 
-    def pairs(self):
-        """Observed positions as a sorted list of (row, col) tuples."""
-        rows, cols = np.nonzero(self._flags)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
             return NotImplemented

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +232,14 @@ class TestSimulate:
         assert code == 1
 
 
+def write_fixture_pgm(path, n=24):
+    yy, xx = np.mgrid[0:n, 0:n] / (n - 1)
+    write_pgm(path, 0.5 + 0.3 * np.sin(2 * np.pi * xx) * np.cos(np.pi * yy))
+
+
+INPAINT_OUTPUTS = ("errors.json", "degraded.pgm", "recovered_robust.pgm", "recovered_soft.pgm")
+
+
 class TestInpaint:
     def test_smoke(self, tmp_path):
         rng = np.random.default_rng(82)
@@ -279,6 +289,51 @@ class TestInpaint:
         bad.write_bytes(b"not a pgm")
         assert main(["inpaint", str(bad), "--out-dir", str(tmp_path)]) == 2
 
+    def test_failed_solve_is_data_error_and_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def fail(*args, **kwargs):
+            raise SvdError("SVD failed to converge")
+
+        monkeypatch.setattr("robustmc.experiments.robust_impute", fail)
+        src, out = tmp_path / "img.pgm", tmp_path / "out"
+        write_fixture_pgm(src)
+        assert main(["inpaint", str(src), "--gamma-count", "4", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "robustmc: SVD failed to converge\n"
+        assert list(out.iterdir()) == []
+
+    def test_reruns_are_bit_identical(self, tmp_path):
+        src = tmp_path / "img.pgm"
+        write_fixture_pgm(src)
+        args = ["inpaint", str(src), "--replicates", "2", "--gamma-count", "4", "--seed", "5"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out-dir", str(out1)]) == 0
+        assert main(args + ["--out-dir", str(out2)]) == 0
+        for name in INPAINT_OUTPUTS:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_at_most_one_solved_path_is_alive(self, tmp_path, monkeypatch):
+        from robustmc import experiments
+
+        paths = []
+
+        def tracked(solver):
+            def solve(*args, **kwargs):
+                gc.collect()
+                assert [ref for ref in paths if ref() is not None] == []
+                path = solver(*args, **kwargs)
+                paths.append(weakref.ref(path))
+                return path
+            return solve
+
+        for name in ("robust_impute", "soft_impute_path"):
+            monkeypatch.setattr(experiments, name, tracked(getattr(experiments, name)))
+        src, out = tmp_path / "img.pgm", tmp_path / "out"
+        write_fixture_pgm(src)
+        assert main(["inpaint", str(src), "--replicates", "2", "--gamma-count", "4",
+                     "--out-dir", str(out)]) == 0
+        assert len(paths) == 2 * 2
+        assert all((out / name).exists() for name in INPAINT_OUTPUTS)
+
 
 def _bad_values(commands, *values):
     return [(command, value) for value in values for command in commands]
@@ -294,7 +349,8 @@ BAD_FLAG_VALUES = (
                   ["--gamma-path", "3,nan"], ["--gamma-path", ","])
     + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
     + _bad_values(("inpaint",), ["--missing-frac", "1.5"], ["--snr", "0"],
-                  ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"])
+                  ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"],
+                  ["--method", "soft", "--gamma", "0"])
 )
 
 

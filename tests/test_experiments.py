@@ -15,10 +15,13 @@ from robustmc import (
     SvdError,
     SyntheticSpec,
     clustered_mask,
+    default_gamma_path,
     degrade_image,
     generate_synthetic,
     replicate_seed,
+    robust_impute,
     run_benchmark,
+    run_study,
     score_path,
     soft_impute_path,
     training_error,
@@ -354,3 +357,46 @@ class TestRunBenchmark:
         spec = SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2, 0)
         with pytest.raises(DataValidationError):
             run_benchmark([spec], ["magic"], 1, seed=0)
+
+
+class TestRunStudy:
+    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+
+    def instance_at(self, rep):
+        return generate_synthetic(dataclasses.replace(self.SPEC, seed=100 + rep))
+
+    def test_returns_replicate_zero_and_its_best_stage_estimates(self):
+        results, first, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
+                                              2, SolverConfig(), gamma_count=5)
+        assert [(r.setting_id, r.method) for r in results] == [("a", "robust"), ("a", "soft")]
+        inst = self.instance_at(0)
+        assert np.array_equal(first.x, inst.x) and first.mask == inst.mask
+        config = SolverConfig(gamma_path=default_gamma_path(inst.problem(), 5))
+        for res, solve in zip(results, (robust_impute, soft_impute_path)):
+            path = solve(inst.problem(), config)
+            assert len(res.records) == 2 * 5
+            scored = list(res.records[:5])
+            assert scored == score_path(inst, 0, path)
+            best = path[int(np.argmin([r.test_error for r in scored]))].y_hat
+            assert np.array_equal(estimates[res.method], best)
+
+    def test_checks_come_before_any_instance(self):
+        def never(rep):
+            raise AssertionError("an instance was built")
+
+        assert run_study([], ["robust"], 1, SolverConfig()) == ([], None, {})
+        with pytest.raises(DataValidationError, match="replicates"):
+            run_study([("a", never)], ["robust"], 0, SolverConfig())
+        with pytest.raises(DataValidationError, match="unknown method"):
+            run_study([("a", never)], ["robust", "magic"], 1, SolverConfig())
+
+    def test_a_failed_method_leaves_no_estimate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SvdError("SVD failed to converge")
+
+        monkeypatch.setattr("robustmc.experiments.robust_impute", fail)
+        (robust, soft), _, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
+                                                 2, SolverConfig(), gamma_count=4)
+        assert robust.failures == ((0, "SVD failed to converge"), (1, "SVD failed to converge"))
+        assert not soft.failures and len(soft.records) == 2 * 4
+        assert set(estimates) == {"soft"}

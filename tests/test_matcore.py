@@ -32,7 +32,7 @@ class TestObservationMask:
     def test_from_pairs_and_counts(self):
         mask = checkerboard_mask()
         assert mask.n_observed == 2
-        assert mask.pairs() == [(0, 1), (1, 0)]
+        assert mask.flags.tolist() == [[False, True], [True, False]]
         assert mask.fraction_observed == 0.5
 
     def test_out_of_bounds_rejected(self):
@@ -80,7 +80,7 @@ class TestProblem:
 
     def test_from_array_with_missing(self):
         prob = Problem.from_array_with_missing([[1.0, np.nan], [np.nan, 4.0]])
-        assert prob.mask.pairs() == [(0, 0), (1, 1)]
+        assert prob.mask.flags.tolist() == [[True, False], [False, True]]
         assert prob.values[0, 1] == 0.0
 
 

@@ -64,7 +64,7 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("1.5,NA\n,2.5\n")
         prob = read_matrix_csv(path)
-        assert prob.mask.pairs() == [(0, 0), (1, 1)]
+        assert prob.mask.flags.tolist() == [[True, False], [False, True]]
         assert prob.values[0, 0] == 1.5
         assert prob.values[1, 1] == 2.5
 

@@ -57,7 +57,7 @@ from .pcpbridge import extract_sparse
 from .solvers import (
     PathSolution,
     SolverConfig,
-    default_gamma_path,
+    default_gamma_path,  # unused here; the layer tracer in bench/ binds this name
     robust_impute,  # unused here; the layer tracer in bench/ binds this name
     soft_impute,
 )
@@ -165,8 +165,6 @@ def _solver_config(args) -> SolverConfig:
         raise _UsageError("--gamma and --gamma-path are mutually exclusive")
     if args.gamma == 0 and not getattr(args, "no_robust", False):
         raise _UsageError("--gamma must be positive; only squared-loss completion takes 0")
-    if args.gamma_count < 1:
-        raise _UsageError("--gamma-count must be >= 1")
     gammas = None
     if args.gamma_path is not None:
         try:
@@ -176,19 +174,17 @@ def _solver_config(args) -> SolverConfig:
     elif args.gamma is not None and args.gamma != 0:
         gammas = [args.gamma]
     with _flag_values():
-        return SolverConfig(gamma_path=gammas, cutoff=args.cutoff,
-                            epsilon=args.tol, max_inner_iters=args.max_iters)
+        return SolverConfig(gamma_path=gammas, cutoff=args.cutoff, epsilon=args.tol,
+                            max_inner_iters=args.max_iters, gamma_count=args.gamma_count)
 
 
 def _solve_input(args, method, config) -> tuple:
-    """The input CSV's problem and `method`'s path along the flags' gamma
-    path, resolved from the problem when the flags leave it open; squared
-    loss also takes a single gamma of zero."""
+    """The input CSV's problem and `method`'s path along the config's gamma
+    path; squared loss also takes a single gamma of zero."""
     problem = read_matrix_csv(args.input, header=args.header)
     if args.gamma == 0:
         return problem, PathSolution((soft_impute(problem, 0.0, None, config),))
-    gammas = config.gamma_path or default_gamma_path(problem, args.gamma_count)
-    return problem, solve_path(method, problem, dataclasses.replace(config, gamma_path=gammas))
+    return problem, solve_path(method, problem, config)
 
 
 def _diagnostics_entries(method, path):
@@ -309,8 +305,7 @@ def cmd_simulate(args) -> int:
         # run_study owns the replicate-count rule; with no settings it only checks
         run_study([], methods, args.replicates, config)
     out_dir = _ensure_out_dir(args)
-    results = run_benchmark([spec], methods, args.replicates, args.seed, config,
-                            args.gamma_count)
+    results = run_benchmark([spec], methods, args.replicates, args.seed, config)
     lines = [BENCH_CSV_HEADER]
     for res in results:
         for rec in res.records:
@@ -359,7 +354,7 @@ def cmd_inpaint(args) -> int:
     results, first, recovered = run_study(
         [(args.image, lambda rep: degrade_image(img, noise, missing,
                                                 replicate_seed(args.seed, 0, rep)))],
-        methods, args.replicates, config, args.gamma_count)
+        methods, args.replicates, config)
     failures = [f for res in results for f in res.failures]
     if failures:  # the first in solve order: replicate, then method
         raise RobustMcError(min(failures, key=lambda f: f[0])[1])

@@ -18,7 +18,7 @@ from .matcore import ObservationMask, Problem, _frozen, as_matrix
 from .solvers import (
     PathSolution,
     SolverConfig,
-    default_gamma_path,
+    default_gamma_path,  # unused here; the layer tracer in bench/ binds this name
     robust_impute,
     soft_impute_path,
 )
@@ -401,17 +401,17 @@ def _solve_and_score(method, instance, replicate, problem, config) -> tuple:
 
 
 def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
-              config: SolverConfig, gamma_count: int = 20) -> tuple:
+              config: SolverConfig) -> tuple:
     """Solve and score each method along one gamma path per replicate.
 
     `settings` yields (setting_id, instance_at) pairs; `instance_at(r)`
     builds replicate r.  The methods of a replicate share its instance and
-    gamma path: config.gamma_path, else a `gamma_count`-point path derived
-    from the observed matrix.  A failed solve is recorded and the run goes
-    on.  The methods and the replicate count are checked before any
-    instance is built, so no `settings` only checks them.  Returns one
-    BenchResult per setting and method, replicate 0 of the first setting,
-    and each method's lowest-test-error stage estimate on that replicate.
+    the gamma path `config.resolved` gives it.  A failed solve is recorded
+    and the run goes on.  The methods and the replicate count are checked
+    before any instance is built, so no `settings` only checks them.
+    Returns one BenchResult per setting and method, replicate 0 of the
+    first setting, and each method's lowest-test-error stage estimate on
+    that replicate.
     """
     if replicates < 1:
         raise DataValidationError(f"replicates must be >= 1, got {replicates}")
@@ -425,8 +425,7 @@ def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
         for rep in range(replicates):
             inst = instance_at(rep)
             problem = inst.problem()
-            gammas = config.gamma_path or default_gamma_path(problem, gamma_count)
-            rep_config = replace(config, gamma_path=gammas)
+            rep_config = config.resolved(problem)
             first = first or inst
             for m in methods:
                 try:
@@ -444,8 +443,7 @@ def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
 
 
 def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
-                  replicates: int, seed: int, config: Optional[SolverConfig] = None,
-                  gamma_count: int = 20) -> list:
+                  replicates: int, seed: int, config: Optional[SolverConfig] = None) -> list:
     """Run each method over seeded replicates of each setting (`run_study`).
 
     The seed of each grid entry is ignored; instance seeds derive from the
@@ -455,4 +453,4 @@ def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
     settings = ((spec.setting_id, lambda rep, i=i, spec=spec: generate_synthetic(
         replace(spec, seed=replicate_seed(seed, i, rep)))) for i, spec in enumerate(spec_grid))
     return run_study(settings, methods, replicates,
-                     config if config is not None else SolverConfig(), gamma_count)[0]
+                     config if config is not None else SolverConfig())[0]

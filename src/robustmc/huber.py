@@ -87,12 +87,10 @@ def choose_cutoff(gamma: float, n_rows: int, n_cols: int, observed_fraction: flo
     linearly in gamma, so a gamma path with auto cutoffs keeps the ratio
     c/gamma fixed for a given problem size and sampling rate.
     """
-    if not gamma > 0:
-        raise DataValidationError(f"gamma must be positive, got {gamma}")
     if n_rows < 1 or n_cols < 1:
         raise DataValidationError(f"dimensions must be positive, got {n_rows}x{n_cols}")
     if not (0.0 < observed_fraction <= 1.0):
         raise DataValidationError(
             f"observed_fraction must be in (0, 1], got {observed_fraction}"
         )
-    return float(gamma) / np.sqrt(max(n_rows, n_cols) * observed_fraction)
+    return HuberParams(float(gamma) / np.sqrt(max(n_rows, n_cols) * observed_fraction)).c

@@ -21,7 +21,7 @@ non-increasing, plus the number of spectral-shrinkage SVDs performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,14 +49,15 @@ Completer = Callable[[Problem, float, Optional[np.ndarray]], "Solution"]
 class SolverConfig:
     """Knobs shared by the path solvers.
 
-    gamma_path       strictly decreasing positive weights; None derives the
-                     default 20-point log-spaced path from the problem.
+    gamma_path       strictly decreasing positive weights; None derives a
+                     `gamma_count`-point log-spaced path from the problem.
     cutoff           Huber cutoff; None picks it per gamma via
                      `choose_cutoff` (an explicit value is held fixed
                      across the whole path).
     epsilon          stop once ||Y_new - Y_old||_F^2 / ||Y_old||_F^2 < epsilon.
     max_inner_iters  cap on shrinkage iterations per gamma.
     max_outer_iters  cap on re-completion rounds in `general_robust`.
+    gamma_count      points on the automatic gamma path.
     """
 
     gamma_path: Optional[tuple] = None
@@ -64,6 +65,7 @@ class SolverConfig:
     epsilon: float = 1e-5
     max_inner_iters: int = 500
     max_outer_iters: int = 100
+    gamma_count: int = 20
 
     def __post_init__(self):
         if self.gamma_path is not None:
@@ -81,6 +83,14 @@ class SolverConfig:
             raise DataValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_inner_iters < 1 or self.max_outer_iters < 1:
             raise DataValidationError("iteration caps must be at least 1")
+        if self.gamma_count < 1:
+            raise DataValidationError(f"gamma_count must be >= 1, got {self.gamma_count}")
+
+    def resolved(self, problem: Problem) -> "SolverConfig":
+        """This config, given the `gamma_count`-point default path if it has none."""
+        if self.gamma_path is not None:
+            return self
+        return replace(self, gamma_path=default_gamma_path(problem, self.gamma_count))
 
 
 @dataclass(frozen=True)
@@ -213,8 +223,7 @@ def default_gamma_path(problem: Problem, count: int = 20) -> tuple:
     singular value of the observed matrix, the smallest weight for which
     the solution collapses to zero.
     """
-    if count < 1:
-        raise DataValidationError(f"count must be >= 1, got {count}")
+    count = SolverConfig(gamma_count=count).gamma_count  # owns the count rule
     _, s, _ = _raw_svd(problem.values)
     sigma1 = float(s[0])
     if sigma1 <= 0.0:
@@ -233,16 +242,16 @@ def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
 
 
 def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
-           nuc: float, rank: int, epsilon: float, max_iters: int, svds: int = 0):
+           nuc: float, rank: int, config: SolverConfig, svds: int = 0):
     """One shrinkage stage at a fixed gamma from the warm start y, whose
     nuclear norm is nuc and whose spectrum keeps rank nonzero values.
 
     Each step fills the observed entries with P(X) (squared loss, c=None)
     or with Huber surrogates for cutoff c, keeps y elsewhere and
     soft-thresholds the spectrum, until the squared relative change drops
-    below epsilon.  `svds` counts SVDs already charged to the stage.  Also
-    returns the nuclear norm and the kept count of y_hat, so the next stage
-    needs no SVD and can size a partial one.
+    below config.epsilon.  `svds` counts SVDs already charged to the stage.
+    Also returns the nuclear norm and the kept count of y_hat, so the next
+    stage needs no SVD and can size a partial one.
     """
     obs = np.flatnonzero(problem.mask.flags)
     x_obs = np.take(problem.values, obs)
@@ -251,7 +260,7 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     converged = False
     iterations = 0
     shrunk = np.zeros(0)
-    for it in range(1, max_iters + 1):
+    for it in range(1, config.max_inner_iters + 1):
         fill = np.array(y, dtype=float, order="C")  # so the flat reshape is a view
         fill.reshape(-1)[obs] = x_obs if c is None else pseudo_data(x_obs, y_obs, c)
         y_new, shrunk = shrink_singular_values(fill, gamma, rank)
@@ -259,7 +268,7 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
         y_obs = np.take(y_new, obs)
         trace.append(_objective(x_obs - y_obs, gamma, c, nuc))
-        done = _rel_change_sq((y_new,), (y,)) < epsilon
+        done = _rel_change_sq((y_new,), (y,)) < config.epsilon
         y = y_new
         iterations = it
         if done:
@@ -271,17 +280,16 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
 
 def _path(problem: Problem, config: SolverConfig, robust: bool) -> PathSolution:
     """Warm-started `_stage`s along the gamma path; squared loss starts at zero."""
-    gammas = config.gamma_path if config.gamma_path is not None else default_gamma_path(problem)
+    config = config.resolved(problem)
     if robust:
-        y, shrunk = shrink_singular_values(problem.values, gammas[0])
+        y, shrunk = shrink_singular_values(problem.values, config.gamma_path[0])
         nuc, rank, svds = float(shrunk.sum()), np.count_nonzero(shrunk), 1
     else:
         y, nuc, rank, svds = np.zeros(problem.shape), 0.0, 0, 0
     sols = []
-    for gamma in gammas:
+    for gamma in config.gamma_path:
         c = _cutoff(config, problem, gamma) if robust else None
-        sol, nuc, rank = _stage(problem, gamma, c, y, nuc, rank, config.epsilon,
-                                config.max_inner_iters, svds)
+        sol, nuc, rank = _stage(problem, gamma, c, y, nuc, rank, config, svds)
         y, svds = sol.y_hat, 0
         sols.append(sol)
     return PathSolution(tuple(sols))
@@ -304,7 +312,7 @@ def soft_impute(problem: Problem, gamma: float, y_init=None,
     else:
         y = as_matrix(y_init, "y_init", problem.shape)
         nuc = nuclear_norm(y)
-    return _stage(problem, gamma, None, y, nuc, 0, config.epsilon, config.max_inner_iters)[0]
+    return _stage(problem, gamma, None, y, nuc, 0, config)[0]
 
 
 def soft_impute_path(problem: Problem, config: Optional[SolverConfig] = None) -> PathSolution:
@@ -334,7 +342,7 @@ def general_robust(problem: Problem, gamma: float,
         if completer is None:
             # squared-loss stage; it hands out the nuclear norm it already has
             return _stage(prob, gamma, None, np.zeros(prob.shape) if y0 is None else y0,
-                          nuc, rank, config.epsilon, config.max_inner_iters)
+                          nuc, rank, config)
         sol = completer(prob, gamma, y0)
         return sol, nuclear_norm(sol.y_hat), 0
 

@@ -335,6 +335,47 @@ class TestInpaint:
         assert all((out / name).exists() for name in INPAINT_OUTPUTS)
 
 
+class TestGammaPathResolution:
+    """Each replicate resolves one automatic gamma path, which its methods
+    share; an explicit path is never resolved."""
+
+    @pytest.fixture
+    def path_calls(self, monkeypatch):
+        from robustmc import experiments, solvers
+
+        calls = []
+        original = solvers.default_gamma_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (solvers, experiments, robustmc.cli):
+            monkeypatch.setattr(module, "default_gamma_path", counted)
+        return calls
+
+    def test_run_benchmark_resolves_once_per_replicate(self, path_calls):
+        spec = robustmc.SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        robustmc.run_benchmark([spec], ["robust", "soft"], 3, seed=5)
+        assert len(path_calls) == 3
+
+    def test_inpaint_resolves_once_per_replicate(self, tmp_path, path_calls):
+        src = tmp_path / "img.pgm"
+        write_fixture_pgm(src)
+        assert main(["inpaint", str(src), "--replicates", "2", "--method", "both",
+                     "--gamma-count", "4", "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(path_calls) == 2
+
+    def test_complete_resolves_only_the_automatic_path(self, tmp_path, path_calls):
+        src = tmp_path / "in.csv"
+        write_fixture_csv(src)
+        head = ["complete", str(src), "--allow-nonconverged"]
+        assert main(head + ["--gamma-path", "3,1,0.5", "--out-dir", str(tmp_path / "a")]) == 0
+        assert len(path_calls) == 0
+        assert main(head + ["--gamma-count", "4", "--out-dir", str(tmp_path / "b")]) == 0
+        assert len(path_calls) == 1
+
+
 def _bad_values(commands, *values):
     return [(command, value) for value in values for command in commands]
 

@@ -291,7 +291,7 @@ class TestScorePath:
 class TestRunBenchmark:
     def test_smoke_single_replicate(self):
         spec = SyntheticSpec(5, 5, 1, 2.0, 0.0, 0.3, 0)
-        results = run_benchmark([spec], ["soft"], 1, seed=1, gamma_count=5)
+        results = run_benchmark([spec], ["soft"], 1, seed=1, config=SolverConfig(gamma_count=5))
         (res,) = results
         assert res.method == "soft"
         assert len(res.records) == 5
@@ -300,14 +300,15 @@ class TestRunBenchmark:
 
     def test_deterministic_across_calls(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
-        a = run_benchmark([spec], ["robust", "soft"], 2, seed=5, gamma_count=6)
-        b = run_benchmark([spec], ["robust", "soft"], 2, seed=5, gamma_count=6)
+        config = SolverConfig(gamma_count=6)
+        a = run_benchmark([spec], ["robust", "soft"], 2, seed=5, config=config)
+        b = run_benchmark([spec], ["robust", "soft"], 2, seed=5, config=config)
         assert a == b
 
     def test_no_outliers_huge_cutoff_makes_methods_identical(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.0, 0.4, 0)
         results = run_benchmark([spec], ["robust", "soft"], 2, seed=6,
-                                config=SolverConfig(cutoff=1e12), gamma_count=6)
+                                config=SolverConfig(cutoff=1e12, gamma_count=6))
         robust = [r for r in results if r.method == "robust"][0]
         soft = [r for r in results if r.method == "soft"][0]
         for a, b in zip(robust.records, soft.records):
@@ -319,7 +320,7 @@ class TestRunBenchmark:
     def test_config_caps_every_stage(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
         results = run_benchmark([spec], ["robust", "soft"], 2, seed=5,
-                                config=SolverConfig(max_inner_iters=1), gamma_count=4)
+                                config=SolverConfig(max_inner_iters=1, gamma_count=4))
         records = [rec for res in results for rec in res.records]
         assert len(records) == 2 * 2 * 4
         assert not any(rec.converged for rec in records)
@@ -328,7 +329,7 @@ class TestRunBenchmark:
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
         gammas = (3.0, 1.5, 0.7)
         for res in run_benchmark([spec], ["robust", "soft"], 2, seed=5,
-                                 config=SolverConfig(gamma_path=gammas), gamma_count=8):
+                                 config=SolverConfig(gamma_path=gammas, gamma_count=8)):
             assert [rec.gamma for rec in res.records] == list(gammas) * 2
 
     def test_method_failure_recorded_and_run_continues(self, monkeypatch):
@@ -337,7 +338,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr("robustmc.experiments.solve_path", fail)
         spec = SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0, 0)
-        results = run_benchmark([spec], ["soft"], 2, seed=7, gamma_count=4)
+        results = run_benchmark([spec], ["soft"], 2, seed=7, config=SolverConfig(gamma_count=4))
         (res,) = results
         assert len(res.failures) == 2
         assert not res.records
@@ -345,7 +346,8 @@ class TestRunBenchmark:
 
     def test_summaries_group_by_first_hit_rank(self):
         spec = SyntheticSpec(20, 20, 2, 5.0, 0.0, 0.3, 0)
-        (res,) = run_benchmark([spec], ["soft"], 3, seed=8, gamma_count=8)
+        (res,) = run_benchmark([spec], ["soft"], 3, seed=8,
+                              config=SolverConfig(gamma_count=8))
         for summary in res.rank_summaries():
             assert 1 <= summary.n <= 3
             assert summary.se_test_error >= 0.0
@@ -367,7 +369,7 @@ class TestRunStudy:
 
     def test_returns_replicate_zero_and_its_best_stage_estimates(self):
         results, first, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
-                                              2, SolverConfig(), gamma_count=5)
+                                              2, SolverConfig(gamma_count=5))
         assert [(r.setting_id, r.method) for r in results] == [("a", "robust"), ("a", "soft")]
         inst = self.instance_at(0)
         assert np.array_equal(first.x, inst.x) and first.mask == inst.mask
@@ -396,7 +398,7 @@ class TestRunStudy:
 
         monkeypatch.setattr("robustmc.experiments.robust_impute", fail)
         (robust, soft), _, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
-                                                 2, SolverConfig(), gamma_count=4)
+                                                 2, SolverConfig(gamma_count=4))
         assert robust.failures == ((0, "SVD failed to converge"), (1, "SVD failed to converge"))
         assert not soft.failures and len(soft.records) == 2 * 4
         assert set(estimates) == {"soft"}

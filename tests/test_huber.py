@@ -200,6 +200,7 @@ class TestChooseCutoff:
         with pytest.raises(DataValidationError):
             choose_cutoff(1.0, 10, 10, 0.0)
 
-    def test_bad_gamma_rejected(self):
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(DataValidationError):
-            choose_cutoff(0.0, 10, 10, 0.5)
+            choose_cutoff(gamma, 10, 10, 0.5)

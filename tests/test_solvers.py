@@ -71,6 +71,26 @@ class TestSolverConfig:
         with pytest.raises(DataValidationError):
             SolverConfig(epsilon=0.0)
 
+    def test_rejects_empty_automatic_path(self):
+        _, prob = make_instance(24)
+        with pytest.raises(DataValidationError):
+            SolverConfig(gamma_count=0)
+        with pytest.raises(DataValidationError):
+            default_gamma_path(prob, 0)
+
+    @pytest.mark.parametrize("solve", [robust_impute, soft_impute_path])
+    def test_gamma_count_sets_the_automatic_path(self, solve):
+        _, prob = make_instance(25, outlier_frac=0.05)
+        auto = solve(prob, SolverConfig(gamma_count=7))
+        given = solve(prob, SolverConfig(gamma_path=default_gamma_path(prob, 7)))
+        assert len(auto) == 7
+        assert auto.gammas == given.gammas
+        for a, b in zip(auto, given):
+            assert np.array_equal(a.y_hat, b.y_hat)
+            assert a.objective_trace == b.objective_trace
+            assert ((a.iterations, a.svd_count, a.final_rank, a.converged, a.cutoff)
+                    == (b.iterations, b.svd_count, b.final_rank, b.converged, b.cutoff))
+
 
 class TestDefaultGammaPath:
     def test_shape_and_anchors(self):

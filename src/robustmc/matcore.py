@@ -277,9 +277,10 @@ def _partial_svd(m: np.ndarray, gamma: float, rank: int):
 # A dense shrinkage takes the eigendecomposition of the Gram matrix on the
 # shorter side when the largest singular value is at most GRAM_RATIO times
 # gamma: eigh's absolute error of about eps * s1**2 then leaves a value near
-# gamma with a relative error of about eps * GRAM_RATIO**2, near 1e-11.  The
-# Gram of a matrix whose largest magnitude lies outside [GRAM_MIN, GRAM_MAX]
-# would overflow or lose its small entries to underflow.
+# gamma with a relative error of about eps * GRAM_RATIO**2, near 1e-11.  A
+# matrix whose largest magnitude lies outside [GRAM_MIN, GRAM_MAX] takes
+# neither fast path: its Gram, or the Lanczos's squared norms, would overflow
+# or lose their small entries to underflow.
 GRAM_RATIO = 200
 GRAM_MIN, GRAM_MAX = 2.0 ** -450, 2.0 ** 450
 
@@ -287,12 +288,9 @@ GRAM_MIN, GRAM_MAX = 2.0 ** -450, 2.0 ** 450
 def _gram_svd(m: np.ndarray, gamma: float):
     """Leading singular triplets of ``m``, descending, down to one at or
     below ``gamma``, from ``eigh`` of the Gram matrix on the shorter side;
-    None when ``m`` is out of the Gram's range, ``eigh`` fails or the
-    largest singular value passes GRAM_RATIO times ``gamma``.
+    None when ``eigh`` fails or the largest singular value passes
+    GRAM_RATIO times ``gamma``.
     """
-    top = max(m.max(), -m.min())
-    if not GRAM_MIN <= top <= GRAM_MAX:
-        return None
     wide = m.shape[0] < m.shape[1]
     a = m.T if wide else m
     try:
@@ -317,12 +315,13 @@ def _raw_svd(m: np.ndarray, gamma=None, rank: int = 0):
     ``gamma`` can keep, plus one at or below it, when it can: first from a
     partial SVD if the shorter side is at least PARTIAL_MIN_SIDE (``rank``,
     the previous iterate's kept count, sizes its first try), then from the
-    Gram matrix's eigendecomposition (`_gram_svd`).  The Gram is refused when
-    the largest singular value passes GRAM_RATIO times ``gamma``, when
-    ``eigh`` fails and when the largest magnitude in ``m`` lies outside
-    [GRAM_MIN, GRAM_MAX]; each of these falls through to the full LAPACK SVD.
+    Gram matrix's eigendecomposition (`_gram_svd`).  Neither is tried when
+    the largest magnitude in ``m`` lies outside [GRAM_MIN, GRAM_MAX]; that,
+    a refused Gram (the largest singular value past GRAM_RATIO times
+    ``gamma``, or a failed ``eigh``) and a failed partial SVD fall through to
+    the full LAPACK SVD.
     """
-    if gamma is not None and gamma > 0:
+    if gamma is not None and gamma > 0 and GRAM_MIN <= max(m.max(), -m.min()) <= GRAM_MAX:
         leading = _partial_svd(m, gamma, rank) if min(m.shape) >= PARTIAL_MIN_SIDE else None
         if leading is None:
             leading = _gram_svd(m, gamma)
@@ -367,11 +366,11 @@ def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     computed, by a partial SVD on a large matrix or from the Gram matrix's
     eigendecomposition (see `_raw_svd`, which ``rank`` hints), so ``shrunk``
     can be shorter than the shorter side; the values it leaves out are all
-    zero.  The Gram is refused, for the full LAPACK SVD, when the largest
-    singular value passes GRAM_RATIO times ``gamma``, when ``eigh`` fails or
-    when ``m`` is out of the Gram's range.  With ``gamma`` = 0 the input is
-    returned unchanged, bit for bit, so that a zero-shrinkage step is an
-    exact identity.
+    zero.  Both are refused, for the full LAPACK SVD, when ``m`` is out of
+    their range, and the Gram also when the largest singular value passes
+    GRAM_RATIO times ``gamma`` or when ``eigh`` fails.  With ``gamma`` = 0
+    the input is returned unchanged, bit for bit, so that a zero-shrinkage
+    step is an exact identity.
     """
     if not gamma >= 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")

@@ -7,21 +7,21 @@ The Huber criterion and the penalized decomposition
 share the same low-rank minimizer: eliminating S entrywise (a scalar
 soft-threshold of the residual) turns the decomposition objective into the
 Huber one.  This module provides that elimination (`extract_sparse`), the
-decomposition objective, an alternating block solver for it that serves as
-an independent cross-check of the Huber solvers, and singular-vector
-coherence diagnostics.
+decomposition objective, the alternating block solver for it (the unfused ES
+algorithm: `general_robust`'s outer loop, returned as a low-rank + sparse
+pair), and singular-vector coherence diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError
 from .matcore import Problem, _frozen, as_matrix, nuclear_norm, svd
 from .huber import soft_threshold_scalar
-from .solvers import SolverConfig, _rank_from_values, _rel_change_sq, soft_impute
+from .solvers import SolverConfig, _rank_from_values, general_robust
 
 
 @dataclass(frozen=True)
@@ -96,41 +96,20 @@ def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
                           epsilon: float = 1e-8, max_iters: int = 200) -> PcpSolution:
     """Block-coordinate descent on the low-rank + sparse objective.
 
-    The sparse block has the closed-form `extract_sparse` solution; the
-    low-rank block is a full `soft_impute` solve on the outlier-corrected
-    observations, warm-started at the current low-rank iterate, to a
-    tolerance of epsilon * 1e-2 within 1000 iterations.  Both block
-    updates descend the joint objective, so the trace is non-increasing,
-    and since the objective is convex the alternation reaches the same
-    optimum as the Huber solvers.  Exists as an independent cross-check,
-    not as the recommended solver.
+    The sparse block has the closed-form `extract_sparse` solution, and on
+    the observed entries x - extract_sparse(L) is pseudo_data(x, L, c); so
+    re-completing the outlier-corrected observations is `general_robust`'s
+    outer round, which this runs with the default completer, one tolerance
+    epsilon for both loops and at most 1000 shrinkage steps per round.  The
+    trace is the Huber trace, equal to `objective_pcp` at the eliminated
+    pair and non-increasing.  It is the unfused ES algorithm, a cross-check
+    of the fused `robust_impute`, not the recommended solver.
     """
-    gamma = float(gamma)
-    c = float(c)
-    # SolverConfig owns the rules for gamma, the cutoff, the tolerance and the caps
-    config = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=epsilon,
+    config = SolverConfig(cutoff=c, epsilon=epsilon, max_inner_iters=1000,
                           max_outer_iters=max_iters)
-    inner = replace(config, epsilon=epsilon * 1e-2, max_inner_iters=1000)
-    x = problem.values
-    flags = problem.mask.flags
-    l = np.zeros(problem.shape)
-    s = np.zeros(problem.shape)
-    trace = [objective_pcp(problem, LowRankSparsePair(l, s), gamma, c)]
-    converged = False
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        s_new = extract_sparse(problem, l, c)
-        corrected = Problem(np.where(flags, x - s_new, 0.0), problem.mask)
-        sol = soft_impute(corrected, gamma, l, inner)
-        l_new = np.asarray(sol.y_hat, dtype=float)
-        trace.append(objective_pcp(problem, LowRankSparsePair(l_new, s_new), gamma, c))
-        done = _rel_change_sq((l_new, s_new), (l, s)) < epsilon
-        l, s = l_new, s_new
-        iterations = it
-        if done:
-            converged = True
-            break
-    return PcpSolution(LowRankSparsePair(l, s), iterations, converged, tuple(trace))
+    sol = general_robust(problem, gamma, config)
+    pair = LowRankSparsePair(sol.y_hat, extract_sparse(problem, sol.y_hat, c))
+    return PcpSolution(pair, sol.iterations, sol.converged, sol.objective_trace)
 
 
 def lambda_from(c: float, gamma: float) -> float:

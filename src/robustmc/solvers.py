@@ -56,7 +56,8 @@ class SolverConfig:
                      across the whole path).
     epsilon          stop once ||Y_new - Y_old||_F^2 / ||Y_old||_F^2 < epsilon.
     max_inner_iters  cap on shrinkage iterations per gamma.
-    max_outer_iters  cap on re-completion rounds in `general_robust`.
+    max_outer_iters  cap on re-completion rounds in `general_robust` (and so
+                     in `pcpbridge.solve_pcp_alternating`, which runs it).
     gamma_count      points on the automatic gamma path.
     """
 
@@ -81,10 +82,10 @@ class SolverConfig:
             HuberParams(float(self.cutoff))
         if not (self.epsilon > 0):
             raise DataValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_inner_iters < 1 or self.max_outer_iters < 1:
-            raise DataValidationError("iteration caps must be at least 1")
-        if self.gamma_count < 1:
-            raise DataValidationError(f"gamma_count must be >= 1, got {self.gamma_count}")
+        for name in ("max_inner_iters", "max_outer_iters", "gamma_count"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise DataValidationError(f"{name} must be an integer >= 1, got {count!r}")
 
     def resolved(self, problem: Problem) -> "SolverConfig":
         """This config, given the `gamma_count`-point default path if it has none."""
@@ -172,11 +173,10 @@ class CertificateReport:
         )
 
 
-def _rel_change_sq(new: tuple, old: tuple) -> float:
-    """||new - old||_F^2 / ||old||_F^2 over a tuple of blocks, summed block
-    by block."""
-    num = sum(float(np.sum((n - o) ** 2)) for n, o in zip(new, old))
-    den = sum(float(np.sum(o * o)) for o in old)
+def _rel_change_sq(new: np.ndarray, old: np.ndarray) -> float:
+    """||new - old||_F^2 / ||old||_F^2."""
+    num = float(np.sum((new - old) ** 2))
+    den = float(np.sum(old * old))
     if den == 0.0:
         # the update rule is undefined at 0; only a literal fixed point stops
         return 0.0 if num == 0.0 else np.inf
@@ -268,7 +268,7 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
         y_obs = np.take(y_new, obs)
         trace.append(_objective(x_obs - y_obs, gamma, c, nuc))
-        done = _rel_change_sq((y_new,), (y,)) < config.epsilon
+        done = _rel_change_sq(y_new, y) < config.epsilon
         y = y_new
         iterations = it
         if done:
@@ -360,7 +360,7 @@ def general_robust(problem: Problem, gamma: float,
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
         trace.append(_objective(_observed_residual(problem, y_new), gamma, c, nuc))
-        done = _rel_change_sq((y_new,), (y,)) < config.epsilon
+        done = _rel_change_sq(y_new, y) < config.epsilon
         y = y_new
         iterations = it
         if done:

@@ -10,6 +10,7 @@ from robustmc import (
     choose_cutoff,
     coherence,
     extract_sparse,
+    general_robust,
     lambda_from,
     objective_g,
     objective_pcp,
@@ -151,6 +152,26 @@ class TestSolvePcpAlternating:
         res = solve_pcp_alternating(prob, gamma, c, epsilon=1e-10)
         for i, j, _ in planted:
             assert res.sparse[i, j] != 0.0
+
+    def test_runs_general_robust(self):
+        _, prob = make_problem(66, outliers=[(1, 1, 7.0), (5, 3, -6.0)])
+        gamma, c = 0.8, 0.3
+        res = solve_pcp_alternating(prob, gamma, c)
+        want = general_robust(prob, gamma, SolverConfig(
+            cutoff=c, epsilon=1e-8, max_inner_iters=1000, max_outer_iters=200))
+        assert res.converged and res.iterations > 1
+        assert np.array_equal(res.low_rank, want.y_hat)
+        assert (res.iterations, res.converged) == (want.iterations, want.converged)
+        assert res.objective_trace == want.objective_trace
+        assert np.array_equal(res.sparse, extract_sparse(prob, res.low_rank, c))
+        final = objective_pcp(prob, res.pair, gamma, c)
+        assert res.objective_trace[-1] == pytest.approx(final, rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True])
+    def test_non_integral_cap_rejected(self, max_iters):
+        _, prob = make_problem(67)
+        with pytest.raises(DataValidationError, match="max_outer_iters must be an integer"):
+            solve_pcp_alternating(prob, 1.0, 1.0, max_iters=max_iters)
 
     @pytest.mark.parametrize("bad", [
         {"max_iters": 0}, {"max_iters": -1}, {"epsilon": 0.0},

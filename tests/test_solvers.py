@@ -71,6 +71,16 @@ class TestSolverConfig:
         with pytest.raises(DataValidationError):
             SolverConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters", "max_outer_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters", "max_outer_iters"])
+    def test_accepts_numpy_integer_counts(self, field):
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+
     def test_rejects_empty_automatic_path(self):
         _, prob = make_instance(24)
         with pytest.raises(DataValidationError):
@@ -518,6 +528,17 @@ class TestObjectiveOverflow:
     def test_general_robust_raises(self, huge):
         with pytest.raises(DataValidationError, match="overflowed float64.*rescale"):
             general_robust(huge, 1e306)
+
+    @pytest.mark.parametrize("solve", [robust_impute, soft_impute_path])
+    def test_huge_matrix_skips_the_partial_svd(self, solve):
+        # both sides reach PARTIAL_MIN_SIDE, so without the magnitude guard
+        # the Lanczos's squared norms overflow (a RuntimeWarning, an error here)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((201, 3)) @ rng.standard_normal((3, 240))
+        prob = Problem.from_full(x * (1e300 / np.abs(x).max()),
+                                 ObservationMask(rng.random(x.shape) < 0.6))
+        with pytest.raises(DataValidationError, match="overflowed float64.*rescale"):
+            solve(prob, SolverConfig(gamma_count=3))
 
 
 class TestStationarityCertificate:

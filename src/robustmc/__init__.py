@@ -12,10 +12,8 @@ from .matcore import (
     ObservationMask,
     Problem,
     SvdFactors,
-    frobenius_norm_sq,
     nuclear_norm,
     project,
-    project_complement,
     svd,
     svd_soft_threshold,
 )
@@ -60,7 +58,6 @@ from .experiments import (
     PathRecord,
     RankSummary,
     SyntheticSpec,
-    clustered_mask,
     degrade_image,
     generate_synthetic,
     replicate_seed,

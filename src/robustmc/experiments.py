@@ -221,6 +221,12 @@ def test_error(instance: GroundTruthInstance, y_hat) -> float:
 
 
 def _grow_patches(rng, n_rows: int, n_cols: int, missing_frac: float, patch_size: int) -> np.ndarray:
+    """Observed flags whose complement is a union of full square patches.
+
+    Patches of side patch_size are dropped at uniformly random positions
+    (fully inside the grid, overlaps allowed) until the missing fraction
+    reaches missing_frac.  Overshoot is at most one patch's area.
+    """
     if patch_size > n_rows or patch_size > n_cols:
         raise DataValidationError(
             f"patch_size {patch_size} does not fit a {n_rows}x{n_cols} grid"
@@ -239,19 +245,6 @@ def _grow_patches(rng, n_rows: int, n_cols: int, missing_frac: float, patch_size
     if missing.all():
         raise DataValidationError("patches covered the whole grid; nothing observed")
     return ~missing
-
-
-def clustered_mask(n_rows: int, n_cols: int, missing_frac: float,
-                   patch_size: int, seed: int) -> ObservationMask:
-    """Missingness as a union of full square patches.
-
-    Patches of side patch_size are dropped at uniformly random positions
-    (fully inside the grid, overlaps allowed) until the missing fraction
-    reaches missing_frac; the observed complement is returned.  Overshoot
-    is at most one patch's area.
-    """
-    spec = MissingSpec.clustered(missing_frac, patch_size)
-    return ObservationMask(_grow_patches(_rng(seed), n_rows, n_cols, spec.rate, spec.patch_size))
 
 
 def degrade_image(img, noise: DegradationSpec, missing: MissingSpec,

@@ -99,9 +99,6 @@ class ObservationMask:
     def fraction_observed(self) -> float:
         return self.n_observed / self._flags.size
 
-    def complement(self) -> "ObservationMask":
-        return ObservationMask(~self._flags)
-
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
             return NotImplemented
@@ -160,13 +157,6 @@ class Problem:
         """Project a fully known matrix onto the mask and wrap it."""
         return cls(np.where(mask.flags, as_matrix(x, "x", mask.shape), 0.0), mask)
 
-    @classmethod
-    def from_array_with_missing(cls, a) -> "Problem":
-        """Interpret NaN entries of ``a`` as unobserved."""
-        a = np.asarray(a, dtype=float)
-        observed = ~np.isnan(a)
-        return cls(np.where(observed, a, 0.0), ObservationMask(observed))
-
     @property
     def shape(self):
         return self.values.shape
@@ -187,17 +177,6 @@ class Problem:
 def project(m, mask: ObservationMask) -> np.ndarray:
     """Keep entries on the mask, zero elsewhere."""
     return np.where(mask.flags, as_matrix(m, "matrix", mask.shape), 0.0)
-
-
-def project_complement(m, mask: ObservationMask) -> np.ndarray:
-    """Keep entries off the mask, zero on it; adds with `project` to ``m``."""
-    return np.where(mask.flags, 0.0, as_matrix(m, "matrix", mask.shape))
-
-
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared entries."""
-    m = np.asarray(m, dtype=float)
-    return float(np.sum(m * m))
 
 
 # The shrinkage step tries a partial SVD only on matrices whose shorter side
@@ -293,8 +272,20 @@ def _gram_svd(m: np.ndarray, gamma: float):
     """
     wide = m.shape[0] < m.shape[1]
     a = m.T if wide else m
+    g = a.T @ a
+    limit = (GRAM_RATIO * gamma) ** 2
+    if np.trace(g) > limit:
+        # a Rayleigh quotient of g is at most s1**2, so this refuses before
+        # the eigh only what the eigh would refuse; x is scaled to entries
+        # of at most 1 so that its squared norms cannot overflow
+        x = g.sum(axis=1)
+        top = np.abs(x).max()
+        if top > 0:
+            x /= top
+            if x @ (g @ x) / (x @ x) > limit * (1 + 1e-8):
+                return None
     try:
-        lam, w = np.linalg.eigh(a.T @ a)
+        lam, w = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
         return None
     s = np.sqrt(np.maximum(lam[::-1], 0.0))

@@ -4,8 +4,9 @@ CSV: plain comma-separated numbers, no header by default; an empty field or
 the literal token NA marks a missing entry.  Written floats use shortest
 round-trip formatting, so write -> read is lossless.
 
-PGM: plain (P2) and binary (P5), 8-bit only.  Pixels map to [0, 1] floats
-on read (value / maxval) and back to 0..255 with round-to-nearest on write.
+PGM: 8-bit only; plain (P2) and binary (P5) are read, binary is written.
+Pixels map to [0, 1] floats on read (value / maxval) and back to 0..255 with
+round-to-nearest on write.
 
 All writers go through a temp file in the target directory followed by an
 atomic rename.
@@ -116,13 +117,9 @@ def _csv_rows(m, mask):
             + "\n" for row, flags in zip(m, mask.flags))
 
 
-def format_matrix_csv(m, mask: ObservationMask = None) -> str:
-    """Render a matrix as CSV text; with a mask, unobserved cells are empty."""
-    return "".join(_csv_rows(m, mask))
-
-
 def write_matrix_csv(path, m, mask: ObservationMask = None):
-    """Write `format_matrix_csv`'s text, streamed row by row."""
+    """Write a matrix as CSV, streamed row by row; with a mask, unobserved
+    cells are empty."""
     _atomic_write(path, (row.encode("utf-8") for row in _csv_rows(m, mask)))
 
 
@@ -182,15 +179,10 @@ def read_pgm(path) -> np.ndarray:
     return (img / maxval).reshape(height, width)
 
 
-def write_pgm(path, img, plain: bool = False):
-    """Write floats in [0, 1] as an 8-bit PGM (binary P5 unless plain)."""
+def write_pgm(path, img):
+    """Write floats in [0, 1] as an 8-bit binary (P5) PGM."""
     img = as_matrix(img, "image")
     pixels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     height, width = pixels.shape
-    if plain:
-        body_lines = [" ".join(str(v) for v in row) for row in pixels.tolist()]
-        text = f"P2\n{width} {height}\n255\n" + "\n".join(body_lines) + "\n"
-        atomic_write_text(path, text)
-    else:
-        header = f"P5\n{width} {height}\n255\n".encode("ascii")
-        atomic_write_bytes(path, header + pixels.tobytes())
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + pixels.tobytes())

@@ -134,10 +134,6 @@ class PathSolution:
         return tuple(s.gamma for s in self.solutions)
 
     @property
-    def total_svd_count(self) -> int:
-        return sum(s.svd_count for s in self.solutions)
-
-    @property
     def all_converged(self) -> bool:
         return all(s.converged for s in self.solutions)
 

@@ -14,7 +14,6 @@ from robustmc import (
     SolverConfig,
     SvdError,
     SyntheticSpec,
-    clustered_mask,
     default_gamma_path,
     degrade_image,
     generate_synthetic,
@@ -224,13 +223,20 @@ class TestDegradeImage:
         assert DegradationSpec(3.0, 1.0, 0.75).outlier_frac == 1.0
 
 
+def degraded_mask(n_rows, n_cols, missing_frac, patch_size, seed):
+    """The observation mask `degrade_image` draws for clustered missingness."""
+    img = np.random.default_rng(25).random((n_rows, n_cols))
+    missing = MissingSpec.clustered(missing_frac, patch_size)
+    return degrade_image(img, DegradationSpec(3.0, 0.0, 1.0), missing, seed).mask
+
+
 class TestClusteredMask:
     def test_fraction_window_and_patch_membership(self):
         patch = 16
-        mask = clustered_mask(256, 256, 0.1, patch, seed=20)
+        mask = degraded_mask(256, 256, 0.1, patch, seed=20)
         missing = ~mask.flags
         frac = missing.mean()
-        assert 0.10 <= frac <= 0.12
+        assert 0.1 <= frac < 0.1 + patch * patch / missing.size  # overshoot under one patch
         # every missing pixel sits inside at least one fully missing patch
         window = np.lib.stride_tricks.sliding_window_view(missing, (patch, patch))
         full = window.all(axis=(2, 3))
@@ -240,22 +246,22 @@ class TestClusteredMask:
         assert np.array_equal(covered, missing)
 
     def test_patch_size_one_matches_target_closely(self):
-        mask = clustered_mask(64, 64, 0.2, 1, seed=21)
+        mask = degraded_mask(64, 64, 0.2, 1, seed=21)
         assert (~mask.flags).mean() == pytest.approx(0.2, abs=0.01)
 
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(DataValidationError):
-            clustered_mask(32, 32, 0.01, 16, seed=22)  # target below one patch
+            degraded_mask(32, 32, 0.01, 16, seed=22)  # target below one patch
         with pytest.raises(DataValidationError):
-            clustered_mask(8, 8, 0.5, 16, seed=23)  # patch exceeds grid
+            degraded_mask(8, 8, 0.5, 16, seed=23)  # patch exceeds grid
         with pytest.raises(DataValidationError, match="missing rate"):
-            clustered_mask(8, 8, 1.5, 2, seed=23)
+            degraded_mask(8, 8, 1.5, 2, seed=23)
         with pytest.raises(DataValidationError, match="patch_size"):
-            clustered_mask(8, 8, 0.5, 0, seed=23)  # would never grow a patch
+            degraded_mask(8, 8, 0.5, 0, seed=23)  # would never grow a patch
 
     def test_deterministic(self):
-        a = clustered_mask(128, 128, 0.15, 8, seed=24)
-        b = clustered_mask(128, 128, 0.15, 8, seed=24)
+        a = degraded_mask(128, 128, 0.15, 8, seed=24)
+        b = degraded_mask(128, 128, 0.15, 8, seed=24)
         assert a == b
 
 

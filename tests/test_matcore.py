@@ -10,10 +10,8 @@ from robustmc import (
     ObservationMask,
     Problem,
     SvdError,
-    frobenius_norm_sq,
     nuclear_norm,
     project,
-    project_complement,
     svd,
     svd_soft_threshold,
 )
@@ -26,6 +24,11 @@ from oracles import gram_singular_values, prox_objective, prox_nuclear_oracle
 
 def checkerboard_mask():
     return ObservationMask.from_pairs(2, 2, [(0, 1), (1, 0)])
+
+
+def complement(mask):
+    """The unobserved positions, as a mask of their own."""
+    return ObservationMask(~mask.flags)
 
 
 class TestObservationMask:
@@ -42,12 +45,6 @@ class TestObservationMask:
     def test_duplicates_rejected(self):
         with pytest.raises(DataValidationError):
             ObservationMask.from_pairs(2, 2, [(0, 0), (0, 0)])
-
-    def test_complement_partitions_grid(self):
-        mask = checkerboard_mask()
-        comp = mask.complement()
-        assert mask.n_observed + comp.n_observed == 4
-        assert not (mask.flags & comp.flags).any()
 
     def test_flags_are_read_only(self):
         mask = ObservationMask.full(2, 3)
@@ -78,11 +75,6 @@ class TestProblem:
         with pytest.raises(DataValidationError):
             Problem.from_full(vals, ObservationMask.full(2, 2))
 
-    def test_from_array_with_missing(self):
-        prob = Problem.from_array_with_missing([[1.0, np.nan], [np.nan, 4.0]])
-        assert prob.mask.flags.tolist() == [[True, False], [False, True]]
-        assert prob.values[0, 1] == 0.0
-
 
 class TestProjection:
     def test_full_mask_is_identity(self):
@@ -98,20 +90,20 @@ class TestProjection:
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         mask = checkerboard_mask()
         assert project(m, mask).tolist() == [[0.0, 2.0], [3.0, 0.0]]
-        assert project_complement(m, mask).tolist() == [[1.0, 0.0], [0.0, 4.0]]
+        assert project(m, complement(mask)).tolist() == [[1.0, 0.0], [0.0, 4.0]]
 
     def test_complement_of_full_mask_is_zero(self):
         m = np.ones((3, 3))
-        assert not project_complement(m, ObservationMask.full(3, 3)).any()
+        assert not project(m, complement(ObservationMask.full(3, 3))).any()
 
     def test_complement_of_zero_is_zero(self):
-        assert not project_complement(np.zeros((2, 2)), checkerboard_mask()).any()
+        assert not project(np.zeros((2, 2)), complement(checkerboard_mask())).any()
 
     def test_projections_sum_to_identity_exactly(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((7, 5))
         mask = ObservationMask(rng.random((7, 5)) < 0.4)
-        assert np.array_equal(project(m, mask) + project_complement(m, mask), m)
+        assert np.array_equal(project(m, mask) + project(m, complement(mask)), m)
 
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(1)
@@ -125,11 +117,9 @@ class TestProjection:
         for _ in range(20):
             m = rng.standard_normal((8, 6))
             mask = ObservationMask(rng.random((8, 6)) < rng.random())
-            total = frobenius_norm_sq(m)
-            split = frobenius_norm_sq(project(m, mask)) + frobenius_norm_sq(
-                project_complement(m, mask)
-            )
-            assert split == pytest.approx(total, rel=1e-12)
+            inside, outside = project(m, mask), project(m, complement(mask))
+            split = np.sum(inside * inside) + np.sum(outside * outside)
+            assert split == pytest.approx(np.sum(m * m), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -137,16 +127,10 @@ class TestProjection:
 
 
 class TestNorms:
-    def test_frobenius_zero(self):
-        assert frobenius_norm_sq(np.zeros((3, 2))) == 0.0
-
-    def test_frobenius_three_four(self):
-        assert frobenius_norm_sq([[3.0, 4.0]]) == 25.0
-
     def test_frobenius_equals_singular_value_energy(self):
         m = np.random.default_rng(3).standard_normal((4, 4))
         s = svd(m).singular_values
-        assert frobenius_norm_sq(m) == pytest.approx(float(np.sum(s * s)), rel=1e-10)
+        assert np.sum(m * m) == pytest.approx(float(np.sum(s * s)), rel=1e-10)
 
     def test_nuclear_diag(self):
         assert nuclear_norm(np.diag([3.0, 1.0])) == pytest.approx(4.0, abs=1e-12)
@@ -537,6 +521,25 @@ class TestGramSvd:
         out, shrunk = shrink_singular_values(m, outside)
         assert shrunk.size == 100
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -449, 2.0 ** 449])
+    def test_refusal_comes_before_the_eigh(self, monkeypatch, scale):
+        m = self._matrix((100, 100))
+        m *= scale / np.abs(m).max()
+        s1 = np.linalg.svd(m, compute_uv=False)[0]
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(g):
+            calls.append(g.shape)
+            return eigh(g)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert matcore._gram_svd(m, s1 / (10 * matcore.GRAM_RATIO)) is None
+            assert calls == []
+            assert matcore._gram_svd(m, s1 / (0.999 * matcore.GRAM_RATIO)) is not None
+            assert calls == [(100, 100)]
 
     def test_eigh_failure_lands_on_lapack(self, monkeypatch):
         m = self._matrix((100, 100))

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from robustmc import DataValidationError, DimensionMismatchError, ObservationMask
-from robustmc.matio import (
-    format_matrix_csv,
-    read_matrix_csv,
-    read_pgm,
-    write_matrix_csv,
-    write_pgm,
-)
+from robustmc.matio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
+
+
+def expected_csv(m, flags=None):
+    """The CSV text of ``m``: shortest repr per cell, unobserved cells empty."""
+    if flags is None:
+        flags = np.ones(m.shape, dtype=bool)
+    return "".join(
+        ",".join(repr(float(v)) if seen else "" for v, seen in zip(row, row_flags)) + "\n"
+        for row, row_flags in zip(m, flags))
 
 
 class TestMatrixCsv:
@@ -30,29 +33,29 @@ class TestMatrixCsv:
         back = read_matrix_csv(path).values
         assert np.array_equal(back, m) and np.array_equal(np.signbit(back), np.signbit(m))
 
-    def test_format_is_shortest_repr_per_cell(self):
+    def test_format_is_shortest_repr_per_cell(self, tmp_path):
         rng = np.random.default_rng(73)
         m = rng.standard_normal((4, 3))
         m[1, 1] = -0.0
         flags = rng.random((4, 3)) < 0.5
-        expected = "".join(
-            ",".join(repr(float(m[i, j])) if flags[i, j] else "" for j in range(3)) + "\n"
-            for i in range(4))
-        assert format_matrix_csv(m, ObservationMask(flags)) == expected
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m, ObservationMask(flags))
+        assert path.read_text() == expected_csv(m, flags)
 
-    def test_mask_of_another_shape_is_a_dimension_mismatch(self):
+    def test_mask_of_another_shape_is_a_dimension_mismatch(self, tmp_path):
         mask = ObservationMask(np.ones((3, 2), dtype=bool))
         with pytest.raises(DimensionMismatchError, match=r"matrix shape \(2, 3\)"):
-            format_matrix_csv(np.ones((2, 3)), mask)
+            write_matrix_csv(tmp_path / "m.csv", np.ones((2, 3)), mask)
 
     def test_written_bytes_are_the_formatted_text(self, tmp_path):
         rng = np.random.default_rng(74)
         m = rng.standard_normal((9, 4))
         mask = ObservationMask(rng.random((9, 4)) < 0.5)
         path = tmp_path / "m.csv"
-        for args in ((m,), (np.where(mask.flags, m, 0.0), mask)):
-            write_matrix_csv(path, *args)
-            assert path.read_bytes() == format_matrix_csv(*args).encode("utf-8")
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == expected_csv(m).encode("utf-8")
+        write_matrix_csv(path, np.where(mask.flags, m, 0.0), mask)
+        assert path.read_bytes() == expected_csv(m, mask.flags).encode("utf-8")
 
     def test_rejected_write_leaves_no_file(self, tmp_path):
         mask = ObservationMask(np.ones((3, 2), dtype=bool))
@@ -141,9 +144,10 @@ class TestMatrixCsv:
         with pytest.raises(DataValidationError, match=r"m\.csv: not UTF-8 .*byte offset 6"):
             read_matrix_csv(path)
 
-    def test_format_without_mask_has_no_blanks(self):
-        text = format_matrix_csv(np.array([[1.0, -2.5]]))
-        assert text == "1.0,-2.5\n"
+    def test_format_without_mask_has_no_blanks(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.array([[1.0, -2.5]]))
+        assert path.read_text() == "1.0,-2.5\n"
 
 
 class TestPgm:
@@ -157,17 +161,18 @@ class TestPgm:
         assert np.array_equal(np.rint(back * 255), np.rint(np.clip(img, 0, 1) * 255))
 
     def test_plain_round_trip(self, tmp_path):
-        rng = np.random.default_rng(72)
-        img = rng.random((5, 4))
+        pixels = np.random.default_rng(72).integers(0, 256, (5, 4))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, plain=True)
+        rows = "\n".join(" ".join(map(str, row)) for row in pixels.tolist())
+        path.write_bytes(f"P2\n4 5\n255\n{rows}\n".encode("ascii"))
         back = read_pgm(path)
-        assert np.array_equal(np.rint(back * 255), np.rint(img * 255))
+        assert np.array_equal(np.rint(back * 255), pixels)
 
     def test_plain_and_binary_agree(self, tmp_path):
         img = np.linspace(0, 1, 12).reshape(3, 4)
-        write_pgm(tmp_path / "a.pgm", img, plain=True)
-        write_pgm(tmp_path / "b.pgm", img, plain=False)
+        write_pgm(tmp_path / "b.pgm", img)
+        pixels = " ".join(str(v) for v in np.rint(img * 255).astype(int).ravel())
+        (tmp_path / "a.pgm").write_bytes(f"P2 4 3 255 {pixels}\n".encode("ascii"))
         assert np.array_equal(read_pgm(tmp_path / "a.pgm"), read_pgm(tmp_path / "b.pgm"))
 
     def test_comments_in_header(self, tmp_path):

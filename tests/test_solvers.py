@@ -23,6 +23,7 @@ from robustmc import (
 
 from robustmc import matcore
 from robustmc import test_error as metric_test_error
+from robustmc.matcore import nuclear_norm
 
 from robustmc import solvers
 
@@ -367,7 +368,7 @@ class TestStageKernel:
 
         monkeypatch.setattr(matcore, "_raw_svd", counted)
         path = solve(prob, cfg)
-        assert len(calls) == path.total_svd_count
+        assert len(calls) == sum(s.svd_count for s in path)
 
     @pytest.mark.parametrize("solve", [soft_impute_path, robust_impute])
     def test_every_partial_svd_is_counted(self, solve, monkeypatch):
@@ -391,7 +392,7 @@ class TestStageKernel:
         monkeypatch.setattr(matcore, "_partial_svd", spied)
         path = solve(prob, cfg)
         assert any(partial)
-        assert len(calls) == path.total_svd_count
+        assert len(calls) == sum(s.svd_count for s in path)
 
     def test_large_robust_path_matches_the_dense_path(self, monkeypatch):
         _, prob = make_instance(52, n1=240, n2=240, rank=5, outlier_frac=0.05)
@@ -572,3 +573,48 @@ class TestStationarityCertificate:
         cert = stationarity_certificate(prob, np.zeros(prob.shape), gamma, c)
         assert cert.rank == 0
         assert cert.passes(1e-3)
+
+
+def influence_moves(seed):
+    """Relative moves of each method's last stage when the observed entries
+    that the robust last stage clips are pushed 10x and 1000x further out.
+
+    The robust path runs on the simulate instance.  Each method then solves
+    the last stage of the unpushed and of each pushed problem from the same
+    warm start, the robust estimate, for the same 100 iterations; a move is
+    the distance between a pushed and the unpushed solve, so solver error
+    cancels out of it."""
+    spec = SyntheticSpec(100, 100, 10, snr=1, outlier_prob=0.1, missing_prob=0.5, seed=seed)
+    prob = generate_synthetic(spec).problem()
+    cfg = SolverConfig(gamma_count=12, epsilon=1e-12)
+    last = robust_impute(prob, cfg)[-1]
+    resid = np.where(prob.mask.flags, prob.values - last.y_hat, 0.0)
+    far = np.abs(resid) > 1.01 * last.cutoff
+    again_cfg = SolverConfig(epsilon=1e-12, max_inner_iters=100)
+
+    def solve_again(values, c):
+        problem = Problem(values, prob.mask)
+        return solvers._stage(problem, last.gamma, c, last.y_hat, nuclear_norm(last.y_hat),
+                              last.final_rank, again_cfg)[0].y_hat
+
+    moves = {}
+    for method, c in (("robust", last.cutoff), ("soft", None)):
+        ref = solve_again(prob.values, c)
+        for k in (10, 1000):
+            pushed = solve_again(np.where(far, last.y_hat + k * resid, prob.values), c)
+            moves[method, k] = float(np.linalg.norm(pushed - ref) / np.linalg.norm(ref))
+    return moves
+
+
+class TestBoundedInfluence:
+    """The paper's bounded-influence claim: psi is constant beyond the
+    cutoff, so observations the robust estimate already clips can be pushed
+    any distance further out without moving it, while the squared-loss
+    estimate follows them."""
+
+    @pytest.mark.parametrize("seed", [
+        1, pytest.param(2, marks=pytest.mark.slow), pytest.param(3, marks=pytest.mark.slow)])
+    def test_clipped_observations_do_not_pull_the_robust_estimate(self, seed):
+        moves = influence_moves(seed)
+        assert moves["robust", 10] < 1e-4 and moves["robust", 1000] < 1e-4
+        assert moves["soft", 1000] >= 10 * moves["soft", 10]

@@ -43,12 +43,9 @@ from .solvers import (
 from .pcpbridge import (
     Coherence,
     LowRankSparsePair,
-    PcpSolution,
     coherence,
     extract_sparse,
-    lambda_from,
     objective_pcp,
-    solve_pcp_alternating,
 )
 from .experiments import (
     BenchResult,

@@ -7,9 +7,11 @@ The Huber criterion and the penalized decomposition
 share the same low-rank minimizer: eliminating S entrywise (a scalar
 soft-threshold of the residual) turns the decomposition objective into the
 Huber one.  This module provides that elimination (`extract_sparse`), the
-decomposition objective, the alternating block solver for it (the unfused ES
-algorithm: `general_robust`'s outer loop, returned as a low-rank + sparse
-pair), and singular-vector coherence diagnostics.
+decomposition objective and singular-vector coherence diagnostics.  The
+decomposition needs no solver of its own: on the observed entries
+x - extract_sparse(L) is pseudo_data(x, L, c), so block-coordinate descent
+on it is `general_robust`'s outer round.  With L its y_hat, the pair is
+LowRankSparsePair(L, extract_sparse(problem, L, c)).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import DataValidationError
 from .matcore import Problem, _frozen, as_matrix, nuclear_norm, svd
 from .huber import soft_threshold_scalar
-from .solvers import SolverConfig, _rank_from_values, general_robust
+from .solvers import _rank_from_values
 
 
 @dataclass(frozen=True)
@@ -36,24 +38,6 @@ class LowRankSparsePair:
         sparse = as_matrix(self.sparse, "sparse", low_rank.shape)
         object.__setattr__(self, "low_rank", _frozen(low_rank))
         object.__setattr__(self, "sparse", _frozen(sparse))
-
-
-@dataclass(frozen=True)
-class PcpSolution:
-    """Output of the alternating solver."""
-
-    pair: LowRankSparsePair
-    iterations: int
-    converged: bool
-    objective_trace: tuple
-
-    @property
-    def low_rank(self):
-        return self.pair.low_rank
-
-    @property
-    def sparse(self):
-        return self.pair.sparse
 
 
 @dataclass(frozen=True)
@@ -90,32 +74,6 @@ def objective_pcp(problem: Problem, pair: LowRankSparsePair, gamma: float, c: fl
         + float(gamma) * nuclear_norm(pair.low_rank)
         + float(c) * float(np.abs(pair.sparse).sum())
     )
-
-
-def solve_pcp_alternating(problem: Problem, gamma: float, c: float,
-                          epsilon: float = 1e-8, max_iters: int = 200) -> PcpSolution:
-    """Block-coordinate descent on the low-rank + sparse objective.
-
-    The sparse block has the closed-form `extract_sparse` solution, and on
-    the observed entries x - extract_sparse(L) is pseudo_data(x, L, c); so
-    re-completing the outlier-corrected observations is `general_robust`'s
-    outer round, which this runs with the default completer, one tolerance
-    epsilon for both loops and at most 1000 shrinkage steps per round.  The
-    trace is the Huber trace, equal to `objective_pcp` at the eliminated
-    pair and non-increasing.  It is the unfused ES algorithm, a cross-check
-    of the fused `robust_impute`, not the recommended solver.
-    """
-    config = SolverConfig(cutoff=c, epsilon=epsilon, max_inner_iters=1000,
-                          max_outer_iters=max_iters)
-    sol = general_robust(problem, gamma, config)
-    pair = LowRankSparsePair(sol.y_hat, extract_sparse(problem, sol.y_hat, c))
-    return PcpSolution(pair, sol.iterations, sol.converged, sol.objective_trace)
-
-
-def lambda_from(c: float, gamma: float) -> float:
-    """Sparsity-to-rank penalty ratio of the constrained decomposition form."""
-    SolverConfig(gamma_path=(gamma,), cutoff=c)  # owns the rules for both
-    return float(c) / float(gamma)
 
 
 def coherence(l) -> Coherence:

@@ -42,7 +42,7 @@ RANK_TOL = 1e-8
 
 # completer(problem, gamma, y_init) -> Solution; must not increase the
 # squared-loss objective relative to the warm start y_init.
-Completer = Callable[[Problem, float, Optional[np.ndarray]], "Solution"]
+Completer = Callable[[Problem, float, np.ndarray], "Solution"]
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class SolverConfig:
                      across the whole path).
     epsilon          stop once ||Y_new - Y_old||_F^2 / ||Y_old||_F^2 < epsilon.
     max_inner_iters  cap on shrinkage iterations per gamma.
-    max_outer_iters  cap on re-completion rounds in `general_robust` (and so
-                     in `pcpbridge.solve_pcp_alternating`, which runs it).
+    max_outer_iters  cap on re-completion rounds in `general_robust`.
     gamma_count      points on the automatic gamma path.
     """
 
@@ -322,37 +321,29 @@ def general_robust(problem: Problem, gamma: float,
                    completer: Optional[Completer] = None) -> Solution:
     """Robustify an arbitrary completer at a single gamma.
 
-    Round zero completes the raw observations.  Every later round builds
-    surrogate observations from the current estimate (observed values kept
-    where the residual is within the cutoff, clipped toward the estimate
-    beyond it) and re-completes, warm-started at the current estimate.
-    Descent of the completer implies descent of the Huber objective, so the
-    recorded trace is non-increasing.
+    Starts from zero.  Every round builds surrogate observations from the
+    current estimate (observed values kept where the residual is within the
+    cutoff, clipped toward the estimate beyond it) and re-completes,
+    warm-started at the current estimate.  Descent of the completer implies
+    descent of the Huber objective, so the recorded trace is non-increasing.
     """
     (gamma,) = SolverConfig(gamma_path=(gamma,)).gamma_path  # owns the gamma rule
     config = config if config is not None else SolverConfig()
     c = _cutoff(config, problem, gamma)
-
-    def complete(prob, y0, nuc, rank):
-        """(Solution, nuclear norm of its y_hat, kept count) from warm start y0."""
-        if completer is None:
-            # squared-loss stage; it hands out the nuclear norm it already has
-            return _stage(prob, gamma, None, np.zeros(prob.shape) if y0 is None else y0,
-                          nuc, rank, config)
-        sol = completer(prob, gamma, y0)
-        return sol, nuclear_norm(sol.y_hat), 0
-
     x = problem.values
     flags = problem.mask.flags
-    inner, nuc, rank = complete(problem, None, 0.0, 0)
-    y = np.asarray(inner.y_hat, dtype=float)
-    svds = inner.svd_count
+    y, nuc, rank, svds = np.zeros(problem.shape), 0.0, 0, 0
     trace = [_objective(_observed_residual(problem, y), gamma, c, nuc)]
     converged = False
     iterations = 0
     for it in range(1, config.max_outer_iters + 1):
-        z = np.where(flags, pseudo_data(x, y, c), 0.0)
-        inner, nuc, rank = complete(Problem(z, problem.mask), y, nuc, rank)
+        surrogate = Problem(np.where(flags, pseudo_data(x, y, c), 0.0), problem.mask)
+        if completer is None:
+            # squared-loss stage; it hands out the nuclear norm it already has
+            inner, nuc, rank = _stage(surrogate, gamma, None, y, nuc, rank, config)
+        else:
+            inner = completer(surrogate, gamma, y)
+            nuc = nuclear_norm(inner.y_hat)
         y_new = np.asarray(inner.y_hat, dtype=float)
         svds += inner.svd_count
         trace.append(_objective(_observed_residual(problem, y_new), gamma, c, nuc))

@@ -32,7 +32,6 @@ from robustmc import (
     replicate_seed,
     robust_impute,
     soft_impute_path,
-    solve_pcp_alternating,
     stationarity_certificate,
     svd,
     svd_soft_threshold,
@@ -161,11 +160,13 @@ def test_criterion_3_pcp_equivalence():
         c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
         y = robust_impute(prob, SolverConfig(gamma_path=(gamma,), cutoff=c,
                                              epsilon=1e-13, max_inner_iters=20000))[0]
-        pcp = solve_pcp_alternating(prob, gamma, c, epsilon=1e-13, max_iters=3000)
-        worst_y = max(worst_y, np.linalg.norm(pcp.low_rank - y.y_hat)
+        low = general_robust(prob, gamma, SolverConfig(
+            cutoff=c, epsilon=1e-13, max_inner_iters=1000, max_outer_iters=3000)).y_hat
+        pair = LowRankSparsePair(low, extract_sparse(prob, low, c))
+        worst_y = max(worst_y, np.linalg.norm(low - y.y_hat)
                       / (1 + np.linalg.norm(y.y_hat)))
         g_val = objective_g(prob, y.y_hat, gamma, c)
-        worst_obj = max(worst_obj, abs(g_val - objective_pcp(prob, pcp.pair, gamma, c))
+        worst_obj = max(worst_obj, abs(g_val - objective_pcp(prob, pair, gamma, c))
                         / (1 + g_val))
     # elimination identity at arbitrary, non-optimal low-rank candidates
     rng = np.random.default_rng(77)

@@ -276,6 +276,24 @@ class TestInpaint:
         assert errors["mean_best_test_error"]["robust"] < 1e-3
         assert errors["mean_best_test_error"]["soft"] < 1e-3
 
+    def test_clustered_missing_patches(self, tmp_path):
+        src, out = tmp_path / "img.pgm", tmp_path / "out"
+        write_fixture_pgm(src)
+        code = main(["inpaint", str(src), "--missing", "clustered", "--missing-frac", "0.2",
+                     "--patch-size", "4", "--snr", "1e9", "--outlier-frac", "0",
+                     "--gamma-count", "4", "--ranks", "2", "--out-dir", str(out)])
+        assert code == 0
+        errors = json.loads((out / "errors.json").read_text())
+        assert (errors["mechanism"], errors["missing_rate"]) == ("clustered", 0.2)
+        unobserved = read_pgm(out / "degraded.pgm") == 0.0
+        assert 0.2 <= unobserved.mean() <= 0.2 + 16 / 24**2  # at most one patch over
+
+    def test_p2_pixel_above_maxval_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        src.write_bytes(b"P2\n2 2\n255\n0 1 2 300\n")
+        assert main(["inpaint", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "pixel outside [0, 255]" in capsys.readouterr().err
+
     def test_flat_image_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         write_pgm(src, np.full((16, 16), 0.5))
@@ -387,11 +405,12 @@ BAD_FLAG_VALUES = (
     _bad_values(ALL_COMMANDS, ["--tol", "0"], ["--tol", "nan"], ["--max-iters", "0"],
                 ["--c", "-1"], ["--c", "inf"], ["--gamma-count", "0"])
     + _bad_values(PATH_COMMANDS, ["--gamma", "nan"], ["--gamma", "-1"],
-                  ["--gamma-path", "3,nan"], ["--gamma-path", ","])
+                  ["--gamma-path", "3,nan"], ["--gamma-path", ","], ["--gamma-path", "3,x"],
+                  ["--gamma", "1", "--gamma-path", "3,2"])
     + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
     + _bad_values(("inpaint",), ["--missing-frac", "1.5"], ["--snr", "0"],
                   ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"],
-                  ["--method", "soft", "--gamma", "0"])
+                  ["--method", "soft", "--gamma", "0"], ["--ranks", "50,x"])
 )
 
 
@@ -441,6 +460,13 @@ class TestExitCodes:
         src = tmp_path / "in.csv"
         src.write_text("NA,NA\nNA,NA\n")
         assert main(["complete", str(src), "--out-dir", str(tmp_path)]) == 2
+
+    def test_data_error_on_all_zero_observations_for_the_automatic_path(self, tmp_path,
+                                                                         capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("0,0\n0,NA\n")
+        assert main(["complete", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "identically zero" in capsys.readouterr().err
 
     def test_data_error_on_non_utf8_csv(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

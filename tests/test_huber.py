@@ -7,6 +7,7 @@ from robustmc import (
     DimensionMismatchError,
     HuberParams,
     ObservationMask,
+    SolverConfig,
     choose_cutoff,
     huber_norm_sq,
     project,
@@ -64,7 +65,8 @@ class TestRho:
     def test_every_entry_point_rejects_cutoff_alike(self, c):
         calls = [lambda: rho(1.0, c), lambda: psi(1.0, c), lambda: huber_norm_sq([1.0], c),
                  lambda: soft_threshold_scalar(1.0, c),
-                 lambda: pseudo_data([1.0], [0.0], c), lambda: HuberParams(c)]
+                 lambda: pseudo_data([1.0], [0.0], c), lambda: HuberParams(c),
+                 lambda: SolverConfig(cutoff=c)]
         for call in calls:
             with pytest.raises(DataValidationError, match="cutoff c must be positive and finite"):
                 call()

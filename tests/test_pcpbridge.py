@@ -11,14 +11,12 @@ from robustmc import (
     coherence,
     extract_sparse,
     general_robust,
-    lambda_from,
     objective_g,
     objective_pcp,
     psi,
     robust_impute,
     soft_impute,
     soft_threshold_scalar,
-    solve_pcp_alternating,
     svd,
 )
 
@@ -105,30 +103,38 @@ class TestObjectivePcp:
             assert val >= base - 1e-12
 
 
+def solve_pair(prob, gamma, c, epsilon, max_iters=200):
+    """The low-rank + sparse solve: `general_robust`'s minimizer, S eliminated."""
+    sol = general_robust(prob, gamma, SolverConfig(
+        cutoff=c, epsilon=epsilon, max_inner_iters=1000, max_outer_iters=max_iters))
+    return sol, LowRankSparsePair(sol.y_hat, extract_sparse(prob, sol.y_hat, c))
+
+
 class TestSolvePcpAlternating:
     def test_no_outliers_huge_cutoff_reduces_to_soft_impute(self):
         _, prob = make_problem(60)
         gamma = 0.6
-        res = solve_pcp_alternating(prob, gamma, c=1e9, epsilon=1e-12)
-        assert not res.sparse.any()
+        _, pair = solve_pair(prob, gamma, c=1e9, epsilon=1e-12)
+        assert not pair.sparse.any()
         plain = soft_impute(prob, gamma, config=SolverConfig(epsilon=1e-14, max_inner_iters=20000))
-        rel = np.linalg.norm(res.low_rank - plain.y_hat) / np.linalg.norm(plain.y_hat)
+        rel = np.linalg.norm(pair.low_rank - plain.y_hat) / np.linalg.norm(plain.y_hat)
         assert rel < 1e-5
 
     def test_huge_gamma_gives_pure_soft_threshold(self):
         _, prob = make_problem(61)
         c = 0.2
         gamma = svd(prob.values).singular_values[0] * 50
-        res = solve_pcp_alternating(prob, gamma, c, epsilon=1e-12)
-        assert not res.low_rank.any()
+        _, pair = solve_pair(prob, gamma, c, epsilon=1e-12)
+        assert not pair.low_rank.any()
         expected = np.where(prob.mask.flags, soft_threshold_scalar(prob.values, c), 0.0)
-        assert np.allclose(res.sparse, expected, atol=1e-12)
+        assert np.allclose(pair.sparse, expected, atol=1e-12)
 
     def test_trace_non_increasing(self):
         _, prob = make_problem(62, outliers=[(1, 1, 7.0), (5, 3, -6.0)])
-        res = solve_pcp_alternating(prob, 0.8, 0.3, epsilon=1e-10)
-        t = res.objective_trace
+        sol, pair = solve_pair(prob, 0.8, 0.3, epsilon=1e-10)
+        t = sol.objective_trace
         assert all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(t, t[1:]))
+        assert t[-1] == pytest.approx(objective_pcp(prob, pair, 0.8, 0.3), rel=1e-12)
 
     def test_agrees_with_robust_impute(self):
         _, prob = make_problem(63, n1=15, n2=15, outliers=[(2, 2, 8.0), (9, 4, -9.0)])
@@ -136,12 +142,12 @@ class TestSolvePcpAlternating:
         c = choose_cutoff(gamma, 15, 15, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         y = robust_impute(prob, cfg)[0].y_hat
-        res = solve_pcp_alternating(prob, gamma, c, epsilon=1e-12, max_iters=2000)
-        assert res.converged
-        rel = np.linalg.norm(res.low_rank - y) / (1 + np.linalg.norm(y))
+        sol, pair = solve_pair(prob, gamma, c, epsilon=1e-12, max_iters=2000)
+        assert sol.converged
+        rel = np.linalg.norm(pair.low_rank - y) / (1 + np.linalg.norm(y))
         assert rel < 1e-3
         g_val = objective_g(prob, y, gamma, c)
-        pcp_val = objective_pcp(prob, res.pair, gamma, c)
+        pcp_val = objective_pcp(prob, pair, gamma, c)
         assert abs(g_val - pcp_val) <= 1e-6 * (1 + abs(g_val))
 
     def test_planted_outliers_land_in_support(self):
@@ -149,57 +155,9 @@ class TestSolvePcpAlternating:
         _, prob = make_problem(64, n1=14, n2=12, noise=0.02, outliers=planted)
         gamma = svd(prob.values).singular_values[0] * 0.15
         c = 0.5  # outliers are >= 10c, noise <= c/10
-        res = solve_pcp_alternating(prob, gamma, c, epsilon=1e-10)
+        _, pair = solve_pair(prob, gamma, c, epsilon=1e-10)
         for i, j, _ in planted:
-            assert res.sparse[i, j] != 0.0
-
-    def test_runs_general_robust(self):
-        _, prob = make_problem(66, outliers=[(1, 1, 7.0), (5, 3, -6.0)])
-        gamma, c = 0.8, 0.3
-        res = solve_pcp_alternating(prob, gamma, c)
-        want = general_robust(prob, gamma, SolverConfig(
-            cutoff=c, epsilon=1e-8, max_inner_iters=1000, max_outer_iters=200))
-        assert res.converged and res.iterations > 1
-        assert np.array_equal(res.low_rank, want.y_hat)
-        assert (res.iterations, res.converged) == (want.iterations, want.converged)
-        assert res.objective_trace == want.objective_trace
-        assert np.array_equal(res.sparse, extract_sparse(prob, res.low_rank, c))
-        final = objective_pcp(prob, res.pair, gamma, c)
-        assert res.objective_trace[-1] == pytest.approx(final, rel=1e-12)
-
-    @pytest.mark.parametrize("max_iters", [2.5, True])
-    def test_non_integral_cap_rejected(self, max_iters):
-        _, prob = make_problem(67)
-        with pytest.raises(DataValidationError, match="max_outer_iters must be an integer"):
-            solve_pcp_alternating(prob, 1.0, 1.0, max_iters=max_iters)
-
-    @pytest.mark.parametrize("bad", [
-        {"max_iters": 0}, {"max_iters": -1}, {"epsilon": 0.0},
-        {"gamma": float("inf")}, {"c": float("inf")},
-    ])
-    def test_bad_parameters_rejected(self, bad):
-        _, prob = make_problem(65)
-        with pytest.raises(DataValidationError):
-            solve_pcp_alternating(prob, **{"gamma": 1.0, "c": 1.0, **bad})
-
-
-class TestLambdaFrom:
-    def test_simple_ratio(self):
-        assert lambda_from(0.3162, 1.0) == pytest.approx(0.3162)
-        assert lambda_from(2.0, 2.0) == 1.0
-
-    def test_round_trip_with_choose_cutoff(self):
-        gamma, n, frac = 1.7, 80, 0.25
-        lam = lambda_from(choose_cutoff(gamma, n, n, frac), gamma)
-        assert lam == pytest.approx(1 / np.sqrt(n * frac), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DataValidationError):
-            lambda_from(0.0, 1.0)
-
-    def test_rejects_infinite_gamma(self):
-        with pytest.raises(DataValidationError, match="positive and finite"):
-            lambda_from(1.0, np.inf)
+            assert pair.sparse[i, j] != 0.0
 
 
 class TestCoherence:

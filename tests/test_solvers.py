@@ -73,7 +73,7 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.0)
 
     @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters", "max_outer_iters"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None, 0, -1])
     def test_rejects_non_integral_counts(self, field, value):
         with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
             SolverConfig(**{field: value})
@@ -233,7 +233,7 @@ class TestGeneralRobust:
         cfg = SolverConfig(cutoff=1e9, epsilon=eps, max_inner_iters=10000)
         sol = general_robust(prob, 0.8, cfg)
         plain = soft_impute(prob, 0.8, config=SolverConfig(epsilon=eps, max_inner_iters=10000))
-        assert sol.iterations == 1
+        assert sol.iterations == 2  # completes the unclipped observations, then confirms
         rel = np.linalg.norm(sol.y_hat - plain.y_hat) / np.linalg.norm(plain.y_hat)
         assert rel <= 10 * np.sqrt(eps)
 
@@ -268,7 +268,7 @@ class TestGeneralRobust:
             return soft_impute(p, gamma, y0, SolverConfig(epsilon=1e-8, max_inner_iters=2000))
 
         sol = general_robust(prob, 1.0, completer=completer)
-        assert len(calls) >= 2  # initial completion plus at least one refit
+        assert len(calls) >= 2  # the first completion plus at least one confirming refit
         assert sol.converged
 
 

@@ -15,8 +15,9 @@ CLI has, is a usage error.
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
 non-UTF-8 input, an observed matrix that is all zero, a flat image, an
 objective that overflows float64, an SVD that fails, a failed `simulate`
-replicate or `inpaint` solve), 3 at least one solve did not converge and
---allow-nonconverged was absent.
+replicate or `inpaint` solve, a dead worker process; an --out-dir the run
+made is removed again if still empty), 3 at least one solve did not converge
+and --allow-nonconverged was absent.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import scipy
 from . import __version__
 from .errors import DataValidationError, RobustMcError
 from .experiments import (
+    THREAD_VARIABLES,
     DegradationSpec,
     MissingSpec,
     SyntheticSpec,
@@ -202,11 +204,6 @@ def _diagnostics_entries(method, path):
 
 def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# the environment variables that set the BLAS thread count, which can move
-# the last digits of every SVD
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(out_dir, command, args, extra=None):
@@ -388,14 +385,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    fresh = not os.path.isdir(args.out_dir)
     try:
-        return args.func(args)
+        code = args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"robustmc: {exc}\n")
         return 1
     except (RobustMcError, OSError) as exc:
         sys.stderr.write(f"robustmc: {exc}\n")
-        return 2
+        code = 2
+    if code == 2 and fresh:  # leave no empty --out-dir behind that this run made
+        with contextlib.suppress(OSError):
+            os.rmdir(args.out_dir)
+    return code
 
 
 if __name__ == "__main__":

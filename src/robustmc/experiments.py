@@ -3,11 +3,13 @@
 Everything is driven by integer seeds through numpy Generators; a master
 seed plus (setting index, replicate index) determines every instance, so a
 benchmark re-run with the same seed reproduces results exactly.  Replicates
-are generated and solved sequentially in index order.
+are generated in index order; `run_study` may solve them on several processes.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +29,8 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 OUTLIER_NOISE_SCALE = 4.0  # outlier noise sd, in units of the base noise sd
 
 METHODS = ("robust", "soft")
+# the variables that set the BLAS thread count, which moves the last digits of every SVD
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -385,12 +389,57 @@ def score_path(instance: GroundTruthInstance, replicate: int, path: PathSolution
             for gi, sol in enumerate(path)]
 
 
-def _solve_and_score(method, instance, replicate, problem, config) -> tuple:
-    """One method's stage records and its lowest-test-error stage estimate
-    (the first on ties); the path itself is released on return."""
-    path = solve_path(method, problem, config)
-    scored = score_path(instance, replicate, path)
-    return scored, path[int(np.argmin([r.test_error for r in scored]))].y_hat
+def _process_count(n_tasks: int) -> int:
+    """The usable cores over the largest BLAS thread count `THREAD_VARIABLES`
+    pin, at most `n_tasks`; 1 when none is pinned (OpenBLAS then takes every core),
+    when another thread is alive (a fork copies only this one), or without fork or affinity."""
+    pinned = [int(v) for v in map(os.environ.get, THREAD_VARIABLES)
+              if v and v.strip().isdecimal() and int(v) > 0]
+    if not (pinned and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        return 1
+    return max(1, min(n_tasks, len(os.sched_getaffinity(0)) // max(pinned)))
+
+
+def _solve_task(task) -> tuple:
+    """(True, stage records, lowest-test-error stage estimate (first on ties) if kept)
+    or (False, message, None) for one (method, replicate) task."""
+    m, rep, inst, problem, config, keep = task
+    try:
+        path = solve_path(m, problem, config)
+        scored = score_path(inst, rep, path)
+    except (RobustMcError, np.linalg.LinAlgError) as exc:
+        return False, str(exc), None
+    best = path[int(np.argmin([r.test_error for r in scored]))].y_hat if keep else None
+    return True, scored, best
+
+
+_inherited = []  # a forked worker's task table, filled by its pool's initializer
+
+
+def _solve_inherited(i) -> tuple:
+    return _solve_task(_inherited[i])
+
+
+def _solve_tasks(tasks) -> list:
+    """Each task's `_solve_task`, in order: task i here when i % n == 0, else on one
+    of n - 1 forked workers, which inherit the table; only indices and outcomes are pickled."""
+    n = _process_count(len(tasks))
+    if n == 1:
+        return [_solve_task(t) for t in tasks]
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherited.extend, initargs=(tasks,))
+    try:
+        futures = [pool.submit(_solve_inherited, i) if i % n else None for i in range(len(tasks))]
+        outcomes = [None if f else _solve_task(t) for f, t in zip(futures, tasks)]
+        return [f.result() if f else out for f, out in zip(futures, outcomes)]
+    except BrokenExecutor as exc:
+        raise RobustMcError(f"a worker process solving the study died ({exc})") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
@@ -399,12 +448,13 @@ def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
 
     `settings` yields (setting_id, instance_at) pairs; `instance_at(r)`
     builds replicate r.  The methods of a replicate share its instance and
-    the gamma path `config.resolved` gives it.  A failed solve is recorded
-    and the run goes on.  The methods and the replicate count are checked
-    before any instance is built, so no `settings` only checks them.
-    Returns one BenchResult per setting and method, replicate 0 of the
-    first setting, and each method's lowest-test-error stage estimate on
-    that replicate.
+    the gamma path `config.resolved` gives it.  A setting's instances are
+    built first; its paths are solved on `_process_count` processes, which
+    leaves every result unchanged.  A failed solve is recorded and the run
+    goes on.  The methods and the replicate count are checked before any
+    instance is built, so no `settings` only checks them.  Returns one
+    BenchResult per setting and method, replicate 0 of the first setting,
+    and each method's lowest-test-error stage estimate on that replicate.
     """
     if replicates < 1:
         raise DataValidationError(f"replicates must be >= 1, got {replicates}")
@@ -413,22 +463,20 @@ def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
             raise DataValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
     results, first, estimates = [], None, {}
     for setting_id, instance_at in settings:
-        records = {m: [] for m in methods}
-        failures = {m: [] for m in methods}
+        built = []
         for rep in range(replicates):
-            inst = instance_at(rep)
-            problem = inst.problem()
-            rep_config = config.resolved(problem)
-            first = first or inst
-            for m in methods:
-                try:
-                    scored, best = _solve_and_score(m, inst, rep, problem, rep_config)
-                except (RobustMcError, np.linalg.LinAlgError) as exc:
-                    failures[m].append((rep, str(exc)))
-                    continue
-                records[m] += scored
-                if inst is first:
-                    estimates[m] = best
+            problem = (inst := instance_at(rep)).problem()
+            built.append((rep, inst, problem, config.resolved(problem)))
+        first = first or built[0][1]
+        tasks = [(m, *b, b[1] is first) for m in methods for b in built]
+        records, failures = {m: [] for m in methods}, {m: [] for m in methods}
+        for (m, rep, *_), (ok, out, best) in zip(tasks, _solve_tasks(tasks)):
+            if ok:
+                records[m] += out
+            else:
+                failures[m].append((rep, out))
+            if best is not None:
+                estimates[m] = best
         for m in methods:
             results.append(BenchResult(setting_id, m, replicates,
                                        tuple(records[m]), tuple(failures[m])))

@@ -1,5 +1,6 @@
 import gc
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -231,6 +232,37 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_a_dead_worker_is_a_data_error_and_leaves_no_process(self, tmp_path, capsys,
+                                                                 monkeypatch, processes):
+        from robustmc import experiments
+
+        caller, real = os.getpid(), experiments.soft_impute_path
+
+        def soft(problem, config):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(problem, config)
+
+        monkeypatch.setattr(experiments, "soft_impute_path", soft)
+        processes(2)
+        out = tmp_path / "out"
+        code = main(["simulate", "--n", "20", "--rank", "2", "--replicates", "2",
+                     "--method", "soft", "--gamma-count", "4", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("robustmc: a worker process solving")
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # the pool is imported only when a study runs on several processes
+        script = ("import json, sys, robustmc.cli\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+                  "('multiprocessing', 'concurrent')))))")
+        src_dir = os.path.dirname(os.path.dirname(robustmc.__file__))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src_dir), timeout=120, check=True)
+        assert json.loads(run.stdout) == []
+
 
 def write_fixture_pgm(path, n=24):
     yy, xx = np.mgrid[0:n, 0:n] / (n - 1)
@@ -317,7 +349,7 @@ class TestInpaint:
         write_fixture_pgm(src)
         assert main(["inpaint", str(src), "--gamma-count", "4", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == "robustmc: SVD failed to converge\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_reruns_are_bit_identical(self, tmp_path):
         src = tmp_path / "img.pgm"
@@ -329,9 +361,12 @@ class TestInpaint:
         for name in INPAINT_OUTPUTS:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_at_most_one_solved_path_is_alive(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_at_most_one_solved_path_is_alive(self, tmp_path, monkeypatch, processes, n):
+        # the per-solve check runs in every process; `paths` sees the caller's solves
         from robustmc import experiments
 
+        processes(n)
         paths = []
 
         def tracked(solver):
@@ -349,7 +384,7 @@ class TestInpaint:
         write_fixture_pgm(src)
         assert main(["inpaint", str(src), "--replicates", "2", "--gamma-count", "4",
                      "--out-dir", str(out)]) == 0
-        assert len(paths) == 2 * 2
+        assert len(paths) == 2 * 2 // n
         assert all((out / name).exists() for name in INPAINT_OUTPUTS)
 
 
@@ -467,6 +502,20 @@ class TestExitCodes:
         src.write_text("0,0\n0,NA\n")
         assert main(["complete", str(src), "--out-dir", str(tmp_path / "out")]) == 2
         assert "identically zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,content,command", [
+        ("in.csv", b"0,0\n0,NA\n", "complete"),
+        ("img.pgm", b"P2\n2 2\n255\n0 1 2 300\n", "inpaint"),
+    ])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_a_data_error_removes_only_an_out_dir_it_made(self, tmp_path, name, content,
+                                                          command, existed):
+        src, out = tmp_path / name, tmp_path / "out"
+        src.write_bytes(content)
+        if existed:
+            out.mkdir()
+        assert main([command, str(src), "--out-dir", str(out)]) == 2
+        assert out.exists() == existed
 
     def test_data_error_on_non_utf8_csv(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

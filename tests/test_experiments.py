@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from robustmc import experiments
 from robustmc import (
     DataValidationError,
     DegradationSpec,
@@ -408,3 +412,94 @@ class TestRunStudy:
         assert robust.failures == ((0, "SVD failed to converge"), (1, "SVD failed to converge"))
         assert not soft.failures and len(soft.records) == 2 * 4
         assert set(estimates) == {"soft"}
+
+
+class TestStudyProcesses:
+    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+
+    def instance_at(self, rep):
+        return generate_synthetic(dataclasses.replace(self.SPEC, seed=200 + rep))
+
+    def study(self, monkeypatch, tmp_path):
+        # the robust solve of replicate 1 fails; with 2 or 3 processes its task
+        # (index 1 of robust 0-2, soft 0-2) is a worker's
+        bad = self.instance_at(1).problem().values
+        real = experiments.robust_impute
+
+        def robust(problem, config):
+            if np.array_equal(problem.values, bad):
+                (tmp_path / "failed_in").write_text(str(os.getpid()))
+                raise SvdError("SVD failed to converge")
+            return real(problem, config)
+
+        monkeypatch.setattr(experiments, "robust_impute", robust)
+        return run_study([("a", self.instance_at)], ["robust", "soft"], 3,
+                         SolverConfig(gamma_count=4))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_results_do_not_depend_on_the_process_count(self, monkeypatch, tmp_path,
+                                                         processes, n):
+        processes(1)
+        serial, serial_first, serial_estimates = self.study(monkeypatch, tmp_path)
+        assert int((tmp_path / "failed_in").read_text()) == os.getpid()
+        processes(n)
+        results, first, estimates = self.study(monkeypatch, tmp_path)
+        assert int((tmp_path / "failed_in").read_text()) != os.getpid()
+        assert results == serial
+        assert results[0].failures == ((1, "SVD failed to converge"),)
+        assert len(results[1].records) == 3 * 4
+        assert np.array_equal(first.x, serial_first.x)
+        assert set(estimates) == set(serial_estimates) == {"robust", "soft"}
+        for m in estimates:
+            assert np.array_equal(estimates[m], serial_estimates[m])
+
+    def test_unexpected_error_in_a_worker_reaches_the_caller(self, monkeypatch, processes):
+        caller, real = os.getpid(), experiments.soft_impute_path
+
+        def soft(problem, config):
+            assert os.getpid() == caller, "solved in a worker"
+            return real(problem, config)
+
+        monkeypatch.setattr(experiments, "soft_impute_path", soft)
+        processes(2)
+        with pytest.raises(AssertionError, match="solved in a worker"):
+            run_study([("a", self.instance_at)], ["soft"], 2, SolverConfig(gamma_count=3))
+        assert multiprocessing.active_children() == []
+
+
+class TestProcessCount:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        for var in experiments.THREAD_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_unset_variables_give_one(self):
+        assert experiments._process_count(30) == 1
+
+    def test_one_blas_thread_gives_the_core_count(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert experiments._process_count(30) == 2
+        assert experiments._process_count(1) == 1
+
+    @pytest.mark.parametrize("value", ["4", "0", "-1", "two", ""])
+    def test_other_values_give_one(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert experiments._process_count(30) == 1
+
+    def test_the_largest_thread_count_rules(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert experiments._process_count(30) == 1
+
+    def test_a_second_live_thread_gives_one(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert experiments._process_count(30) == 1
+        finally:
+            release.set()
+            thread.join()
+        assert experiments._process_count(30) == 2

@@ -41,9 +41,7 @@ from .solvers import (
     stationarity_certificate,
 )
 from .pcpbridge import (
-    Coherence,
     LowRankSparsePair,
-    coherence,
     extract_sparse,
     objective_pcp,
 )

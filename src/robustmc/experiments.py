@@ -63,7 +63,7 @@ class SyntheticSpec:
                 f"_p{self.outlier_prob:g}_q{self.missing_prob:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthInstance:
     """A contaminated instance together with everything needed to score it.
 

@@ -102,15 +102,16 @@ class ObservationMask:
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
             return NotImplemented
-        return self._flags.shape == other._flags.shape and bool(
-            np.array_equal(self._flags, other._flags)
-        )
+        return np.array_equal(self._flags, other._flags)
+
+    def __hash__(self):
+        return hash((self.shape, self._flags.tobytes()))
 
     def __repr__(self):
         return f"ObservationMask({self.n_rows}x{self.n_cols}, observed={self.n_observed})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD: u @ diag(singular_values) @ v.T reconstructs the input."""
 
@@ -137,7 +138,7 @@ class SvdFactors:
         return (self.u * self.singular_values) @ self.v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """Partially observed matrix: observed values (zeros elsewhere) plus mask."""
 

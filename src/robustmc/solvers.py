@@ -55,8 +55,8 @@ class SolverConfig:
                      `choose_cutoff` (an explicit value is held fixed
                      across the whole path).
     epsilon          stop once ||Y_new - Y_old||_F^2 / ||Y_old||_F^2 < epsilon.
-    max_inner_iters  cap on shrinkage iterations per gamma.
-    max_outer_iters  cap on re-completion rounds in `general_robust`.
+    max_inner_iters  cap on shrinkage iterations per gamma, and on
+                     re-completion rounds in `general_robust`.
     gamma_count      points on the automatic gamma path.
     """
 
@@ -64,7 +64,6 @@ class SolverConfig:
     cutoff: Optional[float] = None
     epsilon: float = 1e-5
     max_inner_iters: int = 500
-    max_outer_iters: int = 100
     gamma_count: int = 20
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class SolverConfig:
             HuberParams(float(self.cutoff))
         if not (self.epsilon > 0):
             raise DataValidationError(f"epsilon must be positive, got {self.epsilon}")
-        for name in ("max_inner_iters", "max_outer_iters", "gamma_count"):
+        for name in ("max_inner_iters", "gamma_count"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
                 raise DataValidationError(f"{name} must be an integer >= 1, got {count!r}")
@@ -93,7 +92,7 @@ class SolverConfig:
         return replace(self, gamma_path=default_gamma_path(problem, self.gamma_count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """One solve at a fixed gamma.
 
@@ -326,6 +325,8 @@ def general_robust(problem: Problem, gamma: float,
     cutoff, clipped toward the estimate beyond it) and re-completes,
     warm-started at the current estimate.  Descent of the completer implies
     descent of the Huber objective, so the recorded trace is non-increasing.
+    Both loops stop on config.epsilon and are capped by
+    config.max_inner_iters; a capped solve returns converged=False.
     """
     (gamma,) = SolverConfig(gamma_path=(gamma,)).gamma_path  # owns the gamma rule
     config = config if config is not None else SolverConfig()
@@ -336,7 +337,7 @@ def general_robust(problem: Problem, gamma: float,
     trace = [_objective(_observed_residual(problem, y), gamma, c, nuc)]
     converged = False
     iterations = 0
-    for it in range(1, config.max_outer_iters + 1):
+    for it in range(1, config.max_inner_iters + 1):
         surrogate = Problem(np.where(flags, pseudo_data(x, y, c), 0.0), problem.mask)
         if completer is None:
             # squared-loss stage; it hands out the nuclear norm it already has

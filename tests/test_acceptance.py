@@ -99,8 +99,7 @@ def monotonicity_runs():
         path = robust_impute(prob, cfg)
         mid_gamma = path.gammas[5]
         outer = general_robust(prob, mid_gamma,
-                               SolverConfig(epsilon=eps, max_inner_iters=6000,
-                                            max_outer_iters=500))
+                               SolverConfig(epsilon=eps, max_inner_iters=6000))
         runs.append((prob, path, outer))
     return runs, time.time() - t0
 
@@ -161,7 +160,7 @@ def test_criterion_3_pcp_equivalence():
         y = robust_impute(prob, SolverConfig(gamma_path=(gamma,), cutoff=c,
                                              epsilon=1e-13, max_inner_iters=20000))[0]
         low = general_robust(prob, gamma, SolverConfig(
-            cutoff=c, epsilon=1e-13, max_inner_iters=1000, max_outer_iters=3000)).y_hat
+            cutoff=c, epsilon=1e-13, max_inner_iters=1000)).y_hat
         pair = LowRankSparsePair(low, extract_sparse(prob, low, c))
         worst_y = max(worst_y, np.linalg.norm(low - y.y_hat)
                       / (1 + np.linalg.norm(y.y_hat)))

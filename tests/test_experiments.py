@@ -57,6 +57,17 @@ class TestSyntheticSpec:
         with pytest.raises(DataValidationError):
             SyntheticSpec(10, 10, 2, 1.0, 1.0, 0.5, 0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 10, 1, 1.0, 0.0, 0.5, 0), "dimensions must be positive"),
+        ((10, 0, 1, 1.0, 0.0, 0.5, 0), "dimensions must be positive"),
+        ((10, 10, 0, 1.0, 0.0, 0.5, 0), "rank must lie"),
+        ((10, 10, 2, 1.0, -0.1, 0.5, 0), "outlier_prob must be in"),
+        ((10, 10, 2, 1.0, 0.0, 1.0, 0), "missing_prob must be in"),
+    ])
+    def test_each_setting_is_checked(self, args, message):
+        with pytest.raises(DataValidationError, match=message):
+            SyntheticSpec(*args)
+
     def test_setting_id(self):
         spec = SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5, 7)
         assert spec.setting_id == "n100x100_r10_s1_p0.1_q0.5"

@@ -201,6 +201,14 @@ class TestChooseCutoff:
         with pytest.raises(DataValidationError):
             choose_cutoff(1.0, 10, 10, 0.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0, 10, 0.5), "dimensions must be positive"),
+        ((1.0, 10, 10, 1.5), "observed_fraction must be in"),
+    ])
+    def test_bad_shape_or_fraction_rejected(self, args, message):
+        with pytest.raises(DataValidationError, match=message):
+            choose_cutoff(*args)
+
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(DataValidationError):

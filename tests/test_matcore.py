@@ -7,11 +7,21 @@ import scipy.linalg
 from robustmc import (
     DataValidationError,
     DimensionMismatchError,
+    GroundTruthInstance,
+    LowRankSparsePair,
     ObservationMask,
+    PathSolution,
     Problem,
+    Solution,
+    SolverConfig,
     SvdError,
+    SvdFactors,
+    SyntheticSpec,
+    generate_synthetic,
     nuclear_norm,
     project,
+    soft_impute,
+    soft_impute_path,
     svd,
     svd_soft_threshold,
 )
@@ -50,6 +60,34 @@ class TestObservationMask:
         mask = ObservationMask.full(2, 3)
         with pytest.raises(ValueError):
             mask.flags[0, 0] = False
+
+
+def test_value_types_compare_and_hash():
+    # two distinct instances with equal values of each type holding arrays:
+    # masks compare by value, the other types by identity; none of them raises
+    flags = np.array([[True, False, True], [True, True, False]])
+    v = np.where(flags, np.arange(6.0).reshape(2, 3) + 1.0, 0.0)
+    prob = Problem(v, ObservationMask(flags))
+    config = SolverConfig(gamma_path=(2.0, 1.0))
+    spec = SyntheticSpec(6, 5, 2, snr=1.0, outlier_prob=0.1, missing_prob=0.3, seed=7)
+    make = {
+        ObservationMask: lambda: ObservationMask(flags),
+        Problem: lambda: Problem(v.copy(), prob.mask),
+        SvdFactors: lambda: svd(v),
+        Solution: lambda: soft_impute(prob, 1.0),
+        PathSolution: lambda: soft_impute_path(prob, config),
+        GroundTruthInstance: lambda: generate_synthetic(spec),
+        LowRankSparsePair: lambda: LowRankSparsePair(v, np.zeros_like(v)),
+    }
+    for kind, build in make.items():
+        a, b = build(), build()
+        assert type(a) is kind and a is not b
+        assert (a == b) is (kind is ObservationMask), kind
+        assert a == a
+        assert isinstance(hash(a), int)
+    mask = ObservationMask(np.eye(2, dtype=bool))
+    assert hash(mask) == hash(ObservationMask(np.eye(2, dtype=bool)))
+    assert mask != ObservationMask(np.eye(2, dtype=bool).reshape(1, 4))
 
 
 class TestProblem:

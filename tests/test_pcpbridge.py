@@ -8,7 +8,6 @@ from robustmc import (
     Problem,
     SolverConfig,
     choose_cutoff,
-    coherence,
     extract_sparse,
     general_robust,
     objective_g,
@@ -103,10 +102,9 @@ class TestObjectivePcp:
             assert val >= base - 1e-12
 
 
-def solve_pair(prob, gamma, c, epsilon, max_iters=200):
+def solve_pair(prob, gamma, c, epsilon):
     """The low-rank + sparse solve: `general_robust`'s minimizer, S eliminated."""
-    sol = general_robust(prob, gamma, SolverConfig(
-        cutoff=c, epsilon=epsilon, max_inner_iters=1000, max_outer_iters=max_iters))
+    sol = general_robust(prob, gamma, SolverConfig(cutoff=c, epsilon=epsilon, max_inner_iters=1000))
     return sol, LowRankSparsePair(sol.y_hat, extract_sparse(prob, sol.y_hat, c))
 
 
@@ -136,13 +134,20 @@ class TestSolvePcpAlternating:
         assert all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(t, t[1:]))
         assert t[-1] == pytest.approx(objective_pcp(prob, pair, 0.8, 0.3), rel=1e-12)
 
+    def test_one_cap_bounds_both_loops(self):
+        # max_inner_iters caps the re-completion rounds as well as each stage
+        _, prob = make_problem(62, outliers=[(1, 1, 7.0), (5, 3, -6.0)])
+        sol = general_robust(prob, 0.8, SolverConfig(cutoff=0.3, max_inner_iters=1))
+        assert sol.iterations == 1
+        assert not sol.converged
+
     def test_agrees_with_robust_impute(self):
         _, prob = make_problem(63, n1=15, n2=15, outliers=[(2, 2, 8.0), (9, 4, -9.0)])
         gamma = svd(prob.values).singular_values[0] * 0.2
         c = choose_cutoff(gamma, 15, 15, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         y = robust_impute(prob, cfg)[0].y_hat
-        sol, pair = solve_pair(prob, gamma, c, epsilon=1e-12, max_iters=2000)
+        sol, pair = solve_pair(prob, gamma, c, epsilon=1e-12)
         assert sol.converged
         rel = np.linalg.norm(pair.low_rank - y) / (1 + np.linalg.norm(y))
         assert rel < 1e-3
@@ -159,35 +164,3 @@ class TestSolvePcpAlternating:
         for i, j, _ in planted:
             assert pair.sparse[i, j] != 0.0
 
-
-class TestCoherence:
-    def test_single_spike_is_maximally_coherent(self):
-        n = 6
-        l = np.zeros((n, n))
-        l[0, 0] = 1.0
-        mu = coherence(l)
-        assert mu.mu_rows == pytest.approx(n)
-        assert mu.mu_cols == pytest.approx(n)
-
-    def test_all_ones_is_perfectly_spread(self):
-        n = 8
-        mu = coherence(np.ones((n, n)))
-        assert mu.mu_rows == pytest.approx(1.0, abs=1e-10)
-        assert mu.mu_cols == pytest.approx(1.0, abs=1e-10)
-        assert mu.mu_cross == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_direct_scan(self):
-        rng = np.random.default_rng(65)
-        l = rng.standard_normal((100, 3)) @ rng.standard_normal((100, 3)).T
-        mu = coherence(l)
-        f = svd(l)
-        u, v = f.u[:, :3], f.v[:, :3]
-        assert mu.mu_rows == pytest.approx(100 / 3 * max(np.sum(u * u, axis=1)), rel=1e-10)
-        assert mu.mu_cols == pytest.approx(100 / 3 * max(np.sum(v * v, axis=1)), rel=1e-10)
-        assert mu.mu_cross == pytest.approx(
-            100 * 100 / 3 * np.max(np.abs(u @ v.T)) ** 2, rel=1e-10
-        )
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(DataValidationError):
-            coherence(np.zeros((4, 4)))

@@ -54,7 +54,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.epsilon == 1e-5
         assert cfg.max_inner_iters == 500
-        assert cfg.max_outer_iters == 100
 
     def test_rejects_increasing_path(self):
         with pytest.raises(DataValidationError):
@@ -72,13 +71,26 @@ class TestSolverConfig:
         with pytest.raises(DataValidationError):
             SolverConfig(epsilon=0.0)
 
-    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters", "max_outer_iters"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gamma_path": (np.inf, 1.0)}, "positive and finite"),
+        ({"gamma_path": (np.nan,)}, "positive and finite"),
+        ({"gamma_path": (2.0, 2.0)}, "strictly decreasing"),
+        ({"epsilon": np.nan}, "epsilon must be positive"),
+        ({"epsilon": -1e-5}, "epsilon must be positive"),
+        ({"cutoff": 0.0}, "cutoff c must be positive and finite"),
+        ({"cutoff": np.inf}, "cutoff c must be positive and finite"),
+    ])
+    def test_rejects_invalid_settings(self, kwargs, message):
+        with pytest.raises(DataValidationError, match=message):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None, 0, -1])
     def test_rejects_non_integral_counts(self, field, value):
         with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters", "max_outer_iters"])
+    @pytest.mark.parametrize("field", ["gamma_count", "max_inner_iters"])
     def test_accepts_numpy_integer_counts(self, field):
         assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
@@ -253,7 +265,7 @@ class TestGeneralRobust:
         gamma = 0.6 * svd(prob.values).singular_values[0] * 0.5
         c = choose_cutoff(gamma, 10, 10, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12,
-                           max_inner_iters=5000, max_outer_iters=500)
+                           max_inner_iters=5000)
         a = general_robust(prob, gamma, cfg)
         b = robust_impute(prob, cfg)[0]
         rel = np.linalg.norm(a.y_hat - b.y_hat) / np.linalg.norm(b.y_hat)
@@ -333,7 +345,7 @@ class TestRobustImpute:
         gamma = svd(prob.values).singular_values[0] * 0.2
         c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=eps,
-                           max_inner_iters=5000, max_outer_iters=500)
+                           max_inner_iters=5000)
         a = general_robust(prob, gamma, cfg)
         b = robust_impute(prob, cfg)[0]
         rel = np.linalg.norm(a.y_hat - b.y_hat) / np.linalg.norm(b.y_hat)

@@ -60,7 +60,6 @@ from .experiments import (
     run_study,
     score_path,
     solve_path,
-    summarize_by_rank,
     test_error,
     training_error,
 )

@@ -338,7 +338,24 @@ class BenchResult:
         return float(np.mean(vals)) if vals else None
 
     def rank_summaries(self) -> list:
-        return summarize_by_rank(self.records)
+        """Aggregate the records by fitted rank.
+
+        A replicate contributes to rank r through the first path stage whose
+        solution has that rank; replicates whose path never hits r are left out
+        of r's average, mirroring how per-rank error tables discard fits that
+        lack the rank.
+        """
+        per_rank = {}
+        for rec in self.records:
+            per_rank.setdefault(rec.fitted_rank, {}).setdefault(rec.replicate, rec)
+        out = []
+        for rank in sorted(per_rank):
+            chosen = [per_rank[rank][r] for r in sorted(per_rank[rank])]
+            tr_m, tr_s = _mean_se([c.training_error for c in chosen])
+            te_m, te_s = _mean_se([c.test_error for c in chosen])
+            sv_m, sv_s = _mean_se([c.svd_count for c in chosen])
+            out.append(RankSummary(rank, len(chosen), tr_m, tr_s, te_m, te_s, sv_m, sv_s))
+        return out
 
 
 def _mean_se(values) -> tuple:
@@ -346,29 +363,6 @@ def _mean_se(values) -> tuple:
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return mean, se
-
-
-def summarize_by_rank(records) -> list:
-    """Aggregate records by fitted rank.
-
-    A replicate contributes to rank r through the first path stage whose
-    solution has that rank; replicates whose path never hits r are left out
-    of r's average, mirroring how per-rank error tables discard fits that
-    lack the rank.
-    """
-    per_rank = {}
-    for rec in records:
-        slot = per_rank.setdefault(rec.fitted_rank, {})
-        if rec.replicate not in slot:
-            slot[rec.replicate] = rec
-    out = []
-    for rank in sorted(per_rank):
-        chosen = [per_rank[rank][r] for r in sorted(per_rank[rank])]
-        tr_m, tr_s = _mean_se([c.training_error for c in chosen])
-        te_m, te_s = _mean_se([c.test_error for c in chosen])
-        sv_m, sv_s = _mean_se([c.svd_count for c in chosen])
-        out.append(RankSummary(rank, len(chosen), tr_m, tr_s, te_m, te_s, sv_m, sv_s))
-    return out
 
 
 def solve_path(method: str, problem: Problem, config: SolverConfig) -> PathSolution:

@@ -31,13 +31,13 @@ from robustmc import (
     objective_pcp,
     replicate_seed,
     robust_impute,
-    soft_impute_path,
+    run_study,
     stationarity_certificate,
     svd,
     svd_soft_threshold,
 )
-from robustmc import test_error as metric_test_error
 from robustmc.cli import main as cli_main
+from robustmc.matio import read_pgm
 
 from oracles import prox_nuclear_oracle
 
@@ -263,13 +263,7 @@ def acceptance_image(n=256):
 
 
 TARGET_RANKS = (50, 75, 100, 125)
-
-
-def _solve_path(problem, gammas, method):
-    cfg = SolverConfig(gamma_path=gammas)
-    if method == "robust":
-        return robust_impute(problem, cfg)
-    return soft_impute_path(problem, cfg)
+NO_HIT = (float("nan"), 0)  # (mean test error, n) at a rank no path reaches
 
 
 def _gamma_at_rank(gammas, ranks, target):
@@ -282,15 +276,22 @@ def _gamma_at_rank(gammas, ranks, target):
     return None
 
 
-def _rank_targeted_path(problem):
+def _solve(instance_at, replicates, gammas):
+    """Both methods' `BenchResult`s along one gamma path, from `run_study`."""
+    results = run_study([("image", instance_at)], ("robust", "soft"), replicates,
+                        SolverConfig(gamma_path=gammas))[0]
+    assert not any(res.failures for res in results)
+    return results
+
+
+def _rank_targeted_path(instance_at):
     """Fixed gamma set: coarse backbone plus windows around each target rank,
-    anchored on a warm-started pilot profile per method."""
-    sigma1 = float(svd(problem.values).singular_values[0])
+    anchored on a warm-started pilot profile per method on replicate 0."""
+    sigma1 = float(svd(instance_at(0).problem().values).singular_values[0])
     backbone = np.geomspace(0.045 * sigma1, 0.0002 * sigma1, 20)
     pieces = [backbone]
-    for method in ("robust", "soft"):
-        pilot = _solve_path(problem, tuple(backbone), method)
-        ranks = [s.final_rank for s in pilot]
+    for pilot in _solve(instance_at, 1, tuple(backbone)):
+        ranks = [rec.fitted_rank for rec in pilot.records]
         for target in TARGET_RANKS:
             a = _gamma_at_rank(backbone, ranks, target)
             if a is not None:
@@ -299,44 +300,27 @@ def _rank_targeted_path(problem):
 
 
 def _image_study(img, replicates):
+    """Per mechanism, each method's (mean test error, n) by fitted rank: a
+    replicate counts at rank r through the first stage of its path with that rank."""
     mechanisms = (("independent", MissingSpec.independent(0.4)),
                   ("clustered", MissingSpec.clustered(0.1, 16)))
     study = {}
     for mech_idx, (mech, miss) in enumerate(mechanisms):
-        inst0 = degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
-                              replicate_seed(MASTER_SEED, mech_idx, 0))
-        gammas = _rank_targeted_path(inst0.problem())
-        errors = {m: {t: [] for t in TARGET_RANKS} for m in ("robust", "soft")}
-        train = {m: {t: [] for t in TARGET_RANKS} for m in ("robust", "soft")}
-        for rep in range(replicates):
-            inst = degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
+        def instance_at(rep):
+            return degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
                                  replicate_seed(MASTER_SEED, mech_idx, rep))
-            prob = inst.problem()
-            for method in ("robust", "soft"):
-                path = _solve_path(prob, gammas, method)
-                seen = set()
-                for sol in path:
-                    r = sol.final_rank
-                    if r in TARGET_RANKS and r not in seen:
-                        seen.add(r)
-                        errors[method][r].append(metric_test_error(inst, sol.y_hat))
-                        resid = np.where(inst.clean_observed_set.flags,
-                                         inst.x - sol.y_hat, 0.0)
-                        base = np.where(inst.clean_observed_set.flags, inst.x, 0.0)
-                        train[method][r].append(
-                            float(np.sum(resid ** 2) / np.sum(base ** 2)))
-        study[mech] = {"errors": errors, "train": train, "gammas": gammas}
+
+        results = _solve(instance_at, replicates, _rank_targeted_path(instance_at))
+        study[mech] = {res.method: {s.rank: (s.mean_test_error, s.n)
+                                    for s in res.rank_summaries()} for res in results}
     return study
 
 
 def test_criterion_6_experiment2_image_inpainting():
     t0 = time.time()
-    if os.path.exists(LENA_PATH):
-        from robustmc.matio import read_pgm
-
-        img = read_pgm(LENA_PATH)
-        replicates = 20
-        study = _image_study(img, replicates)
+    lena = os.path.exists(LENA_PATH)
+    study = _image_study(read_pgm(LENA_PATH) if lena else acceptance_image(), 20)
+    if lena:
         table = {  # reference rank-100 errors for the standard Lena setup
             "independent": {"soft": 0.0581, "robust": 0.0557},
             "clustered": {"soft": 0.0760, "robust": 0.0723},
@@ -345,32 +329,23 @@ def test_criterion_6_experiment2_image_inpainting():
         ok = True
         for mech, ref in table.items():
             for method, target_value in ref.items():
-                vals = study[mech]["errors"][method][100]
-                mean = float(np.mean(vals)) if vals else float("nan")
-                hit = bool(vals) and abs(mean - target_value) <= 0.2 * target_value
-                ok &= hit
+                mean, n = study[mech][method].get(100, NO_HIT)
+                ok &= n > 0 and abs(mean - target_value) <= 0.2 * target_value
                 details.append(f"{mech}/{method} rank-100 {mean:.4f} vs {target_value}")
         report(6, "image inpainting (reference image)", ok,
                "; ".join(details) + f"; {time.time() - t0:.0f}s")
         return
 
-    img = acceptance_image()
-    replicates = 20
-    study = _image_study(img, replicates)
     details = []
     ok = True
     for mech in ("independent", "clustered"):
         wins = 0
         parts = []
         for target in TARGET_RANKS:
-            r_vals = study[mech]["errors"]["robust"][target]
-            s_vals = study[mech]["errors"]["soft"][target]
-            r_mean = float(np.mean(r_vals)) if r_vals else float("nan")
-            s_mean = float(np.mean(s_vals)) if s_vals else float("nan")
-            win = bool(r_vals) and bool(s_vals) and r_mean < s_mean
-            wins += bool(win)
-            parts.append(f"r{target}: {r_mean:.4f}/{s_mean:.4f} "
-                         f"(n={len(r_vals)}/{len(s_vals)})")
+            r_mean, r_n = study[mech]["robust"].get(target, NO_HIT)
+            s_mean, s_n = study[mech]["soft"].get(target, NO_HIT)
+            wins += r_n > 0 and s_n > 0 and r_mean < s_mean
+            parts.append(f"r{target}: {r_mean:.4f}/{s_mean:.4f} (n={r_n}/{s_n})")
         ok &= wins >= 3
         details.append(f"{mech} robust wins {wins}/4 [{'; '.join(parts)}]")
     report(6, "image inpainting (synthetic image)", ok,

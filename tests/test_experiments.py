@@ -9,12 +9,14 @@ import pytest
 
 from robustmc import experiments
 from robustmc import (
+    BenchResult,
     DataValidationError,
     DegradationSpec,
     DimensionMismatchError,
     GroundTruthInstance,
     MissingSpec,
     ObservationMask,
+    PathRecord,
     SolverConfig,
     SvdError,
     SyntheticSpec,
@@ -366,15 +368,25 @@ class TestRunBenchmark:
         assert res.mean_best_test_error is None
 
     def test_summaries_group_by_first_hit_rank(self):
-        spec = SyntheticSpec(20, 20, 2, 5.0, 0.0, 0.3, 0)
-        (res,) = run_benchmark([spec], ["soft"], 3, seed=8,
-                              config=SolverConfig(gamma_count=8))
-        for summary in res.rank_summaries():
-            assert 1 <= summary.n <= 3
-            assert summary.se_test_error >= 0.0
-        best = res.best_test_errors()
-        assert len(best) == 3
-        assert res.mean_best_test_error == pytest.approx(np.mean(best))
+        def rec(rep, stage, rank, err):
+            return PathRecord(rep, stage, 1.0 / (stage + 1), rank, 2 * err, err, 10 * rep + stage, True)
+
+        # replicate 2 reaches rank 5 at two stages, replicate 3 never does;
+        # the records are not in replicate order
+        res = BenchResult("s", "soft", 4, (rec(2, 0, 5, 0.3), rec(2, 1, 5, 9.0),
+                                           rec(1, 0, 5, 0.2), rec(3, 0, 7, 0.7),
+                                           rec(0, 0, 5, 0.1)), ())
+        five, seven = res.rank_summaries()
+        values = [0.1, 0.2, 0.3]  # first stage per replicate, replicates sorted
+        assert float(np.mean(values)) != float(np.mean(values[::-1]))
+        assert (five.rank, five.n, seven.rank, seven.n) == (5, 3, 7, 1)
+        assert five.mean_test_error == float(np.mean(values))
+        assert five.mean_training_error == float(np.mean([2 * v for v in values]))
+        assert five.mean_svd_count == float(np.mean([0, 10, 20]))
+        assert five.se_test_error == float(np.std(values, ddof=1) / np.sqrt(3))
+        assert (seven.mean_test_error, seven.se_test_error) == (0.7, 0.0)
+        assert res.best_test_errors() == [0.1, 0.2, 0.3, 0.7]
+        assert res.mean_best_test_error == float(np.mean([0.1, 0.2, 0.3, 0.7]))
 
     def test_unknown_method_rejected(self):
         spec = SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2, 0)

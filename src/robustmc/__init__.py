@@ -32,18 +32,15 @@ from .solvers import (
     Solution,
     SolverConfig,
     default_gamma_path,
+    extract_sparse,
     general_robust,
     objective_f,
     objective_g,
+    objective_pcp,
     robust_impute,
     soft_impute,
     soft_impute_path,
     stationarity_certificate,
-)
-from .pcpbridge import (
-    LowRankSparsePair,
-    extract_sparse,
-    objective_pcp,
 )
 from .experiments import (
     BenchResult,

@@ -55,11 +55,11 @@ from .matio import (
     write_matrix_csv,
     write_pgm,
 )
-from .pcpbridge import extract_sparse
 from .solvers import (
     PathSolution,
     SolverConfig,
     default_gamma_path,  # unused here; the layer tracer in bench/ binds this name
+    extract_sparse,
     robust_impute,  # unused here; the layer tracer in bench/ binds this name
     soft_impute,
 )

@@ -161,6 +161,8 @@ def read_pgm(path) -> np.ndarray:
         raise DataValidationError(f"{path}: bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise DataValidationError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if not data[header_end:header_end + 1].isspace():  # a comment or EOF, not pixels
+        raise DataValidationError(f"{path}: no whitespace byte after maxval")
     if magic == b"P5":
         raster = data[header_end + 1:]  # exactly one whitespace byte after maxval
         if len(raster) < width * height:

@@ -12,6 +12,9 @@ Three entry points:
   interleaved directly with the spectral shrinkage steps and swept along a
   decreasing gamma path with warm starts.
 
+Beside them sit their objectives, `objective_f` and `objective_g`, and the
+low-rank + sparse bridge to the latter: `objective_pcp` and `extract_sparse`.
+
 Every solver run owns its state; returned Solution objects are immutable
 and hold a per-iteration objective trace (squared-loss objective for
 `soft_impute`, Huber objective for the robust solvers) that is
@@ -27,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataValidationError
-from .huber import HuberParams, choose_cutoff, huber_norm_sq, pseudo_data, psi
+from .huber import (HuberParams, choose_cutoff, huber_norm_sq, pseudo_data, psi,
+                    soft_threshold_scalar)
 from .matcore import (
     Problem,
     _frozen,
@@ -233,6 +237,36 @@ def objective_f(problem: Problem, y, gamma: float) -> float:
 def objective_g(problem: Problem, y, gamma: float, c: float) -> float:
     """Huber objective: 0.5*||P(X) - P(Y)||^2_{huber,c} + gamma*||Y||_*."""
     return _objective(_observed_residual(problem, y), float(gamma), c, nuclear_norm(y))
+
+
+def extract_sparse(problem: Problem, l, c: float) -> np.ndarray:
+    """Optimal sparse part given the low-rank part.
+
+    Entrywise soft-threshold of the observed residual X - L by c; zero off
+    the mask.  What remains of the residual after subtracting it is exactly
+    half the Huber derivative, which is the identity tying the two
+    objectives together: eliminating S this way turns `objective_pcp` into
+    `objective_g`, and on the observed entries x - S is pseudo_data(x, L, c),
+    so block-coordinate descent over (L, S) is `general_robust`'s outer round.
+    """
+    l = as_matrix(l, "l", problem.shape)
+    shrunken = soft_threshold_scalar(problem.values - l, c)
+    return np.where(problem.mask.flags, shrunken, 0.0)
+
+
+def objective_pcp(problem: Problem, low_rank, sparse, gamma: float, c: float) -> float:
+    """0.5*||P(X) - P(L + S)||_F^2 + gamma*||L||_* + c*||S||_1, S on the mask."""
+    low_rank = as_matrix(low_rank, "low_rank", problem.shape)
+    sparse = as_matrix(sparse, "sparse", problem.shape)
+    flags = problem.mask.flags
+    if np.any(sparse[~flags] != 0.0):
+        raise DataValidationError("sparse part must vanish off the observation mask")
+    resid = np.where(flags, problem.values - low_rank - sparse, 0.0)
+    return (
+        0.5 * float(np.sum(resid * resid))
+        + float(gamma) * nuclear_norm(low_rank)
+        + float(c) * float(np.abs(sparse).sum())
+    )
 
 
 def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,

@@ -17,7 +17,6 @@ import pytest
 
 from robustmc import (
     DegradationSpec,
-    LowRankSparsePair,
     MissingSpec,
     ObservationMask,
     Problem,
@@ -161,11 +160,11 @@ def test_criterion_3_pcp_equivalence():
                                              epsilon=1e-13, max_inner_iters=20000))[0]
         low = general_robust(prob, gamma, SolverConfig(
             cutoff=c, epsilon=1e-13, max_inner_iters=1000)).y_hat
-        pair = LowRankSparsePair(low, extract_sparse(prob, low, c))
+        sparse = extract_sparse(prob, low, c)
         worst_y = max(worst_y, np.linalg.norm(low - y.y_hat)
                       / (1 + np.linalg.norm(y.y_hat)))
         g_val = objective_g(prob, y.y_hat, gamma, c)
-        worst_obj = max(worst_obj, abs(g_val - objective_pcp(prob, pair, gamma, c))
+        worst_obj = max(worst_obj, abs(g_val - objective_pcp(prob, low, sparse, gamma, c))
                         / (1 + g_val))
     # elimination identity at arbitrary, non-optimal low-rank candidates
     rng = np.random.default_rng(77)
@@ -174,8 +173,7 @@ def test_criterion_3_pcp_equivalence():
     worst_id = 0.0
     for _ in range(50):
         l = rng.standard_normal(prob.shape) * rng.choice([0.2, 1.0, 4.0])
-        pair = LowRankSparsePair(l, extract_sparse(prob, l, c))
-        a = objective_pcp(prob, pair, gamma, c)
+        a = objective_pcp(prob, l, extract_sparse(prob, l, c), gamma, c)
         b = objective_g(prob, l, gamma, c)
         worst_id = max(worst_id, abs(a - b) / (1 + abs(b)))
     elapsed = time.time() - t0

@@ -8,7 +8,6 @@ from robustmc import (
     DataValidationError,
     DimensionMismatchError,
     GroundTruthInstance,
-    LowRankSparsePair,
     ObservationMask,
     PathSolution,
     Problem,
@@ -77,7 +76,6 @@ def test_value_types_compare_and_hash():
         Solution: lambda: soft_impute(prob, 1.0),
         PathSolution: lambda: soft_impute_path(prob, config),
         GroundTruthInstance: lambda: generate_synthetic(spec),
-        LowRankSparsePair: lambda: LowRankSparsePair(v, np.zeros_like(v)),
     }
     for kind, build in make.items():
         a, b = build(), build()

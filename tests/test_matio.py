@@ -207,6 +207,18 @@ class TestPgm:
         with pytest.raises(DataValidationError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("magic, raster", [
+        (b"P5", bytes([10, 20, 30, 40])),
+        (b"P2", b"10 20 30 40\n"),
+    ])
+    def test_comment_after_maxval_rejected(self, tmp_path, magic, raster):
+        # the raster starts one whitespace byte past maxval; a comment glued
+        # to maxval must not be read as pixels
+        path = tmp_path / "img.pgm"
+        path.write_bytes(magic + b"\n2 2\n255#note\n" + raster)
+        with pytest.raises(DataValidationError, match="whitespace"):
+            read_pgm(path)
+
     def test_dimensions_follow_width_height_order(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -94,6 +95,11 @@ class GroundTruthInstance:
 
     def problem(self) -> Problem:
         return Problem.from_full(self.x, self.mask)
+
+    @cached_property
+    def _energies(self) -> dict:
+        """`_relative_error`'s denominators, by the entries they sum over."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -193,10 +199,13 @@ def _instance(x0, x, observed, outliers, sigma) -> GroundTruthInstance:
                                sigma=sigma)
 
 
-def _relative_error(y_hat, target, flags, entries: str) -> float:
-    """sum((target - y_hat)**2) over ``flags`` relative to sum(target**2) there."""
+def _relative_error(instance, y_hat, target, flags, entries: str) -> float:
+    """sum((target - y_hat)**2) over ``flags`` relative to sum(target**2)
+    there, which is summed once per instance and ``entries``."""
     y_hat = as_matrix(y_hat, "y_hat", target.shape)
-    den = float(np.sum(np.where(flags, target, 0.0) ** 2))
+    den = instance._energies.get(entries)
+    if den is None:
+        den = instance._energies[entries] = float(np.sum(np.where(flags, target, 0.0) ** 2))
     if den == 0.0:
         raise DataValidationError(f"{entries} are all zero; error undefined")
     num = float(np.sum(np.where(flags, target - y_hat, 0.0) ** 2))
@@ -212,7 +221,7 @@ def training_error(instance: GroundTruthInstance, y_hat) -> float:
     flags = instance.clean_observed_set.flags
     if not flags.any():
         raise DataValidationError("no clean observed entries to score")
-    return _relative_error(y_hat, instance.x, flags, "clean observed entries")
+    return _relative_error(instance, y_hat, instance.x, flags, "clean observed entries")
 
 
 def test_error(instance: GroundTruthInstance, y_hat) -> float:
@@ -221,7 +230,8 @@ def test_error(instance: GroundTruthInstance, y_hat) -> float:
     flags = ~instance.mask.flags
     if not flags.any():
         flags = instance.mask.flags
-    return _relative_error(y_hat, instance.x0, flags, "scored entries of the clean target")
+    return _relative_error(instance, y_hat, instance.x0, flags,
+                           "scored entries of the clean target")
 
 
 def _grow_patches(rng, n_rows: int, n_cols: int, missing_frac: float, patch_size: int) -> np.ndarray:

@@ -47,9 +47,17 @@ def huber_norm_sq(m, c: float) -> float:
     """Sum of the Huber loss over all entries.
 
     Coincides with the squared Frobenius norm once c dominates every |entry|.
+    One buffer holds (2a - k) * k, a = |m|, k = min(a, c): `rho`'s roundings
+    entry by entry and its memory order, so the sum keeps its bits.
     """
+    c = HuberParams(float(c)).c
     m = np.asarray(m, dtype=float)
-    return float(np.sum(rho(m, c)))
+    a = np.abs(m, out=np.empty_like(m))
+    k = np.minimum(a, c)
+    a += a
+    a -= k
+    a *= k
+    return float(a.sum())
 
 
 def soft_threshold_scalar(x, c: float):

@@ -9,6 +9,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,21 +213,24 @@ def _partial_svd(m: np.ndarray, gamma: float, rank: int):
     alpha, beta = np.empty(nmin), np.empty(nmin)
     start = np.random.default_rng(0).standard_normal(n2)
     v_rows[0] = start / np.sqrt(start @ start)
-    scale, check, last = 0.0, 2 * k + 6, None
+    scale, check, last, mt = 0.0, 2 * k + 6, None, m.T
     for j in range(nmin):
-        w = m @ v_rows[j] - (beta[j - 1] * u_rows[j - 1] if j else 0.0)
-        w -= u_rows[:j].T @ (u_rows[:j] @ w)
-        alpha[j] = np.sqrt(w @ w)
-        if alpha[j] <= LANCZOS_BREAKDOWN * scale:
+        w = m @ v_rows[j]
+        if j:  # at j = 0 both subtractions would take away exact zeros
+            w -= b * u_rows[j - 1]
+            w -= u_rows[:j].T @ (u_rows[:j] @ w)
+        alpha[j] = a = math.sqrt(w @ w)
+        if a <= LANCZOS_BREAKDOWN * scale:
             return None
-        u_rows[j] = w / alpha[j]
-        w = m.T @ u_rows[j] - alpha[j] * v_rows[j]
+        np.divide(w, a, out=u_rows[j])
+        w = mt @ u_rows[j]
+        w -= a * v_rows[j]
         w -= v_rows[:j + 1].T @ (v_rows[:j + 1] @ w)
-        beta[j] = np.sqrt(w @ w)
-        scale = max(scale, alpha[j], beta[j])
-        if beta[j] <= LANCZOS_BREAKDOWN * scale:
+        beta[j] = b = math.sqrt(w @ w)
+        scale = max(scale, a, b)
+        if b <= LANCZOS_BREAKDOWN * scale:
             return None
-        v_rows[j + 1] = w / beta[j]
+        np.divide(w, b, out=v_rows[j + 1])
         n = j + 1
         if n < check:
             continue

@@ -171,9 +171,10 @@ class CertificateReport:
         )
 
 
-def _rel_change_sq(new: np.ndarray, old: np.ndarray) -> float:
-    """||new - old||_F^2 / ||old||_F^2."""
-    num = float(np.sum((new - old) ** 2))
+def _rel_change_sq(new: np.ndarray, old: np.ndarray, out=None) -> float:
+    """||new - old||_F^2 / ||old||_F^2, the difference taken in ``out`` if given."""
+    diff = np.subtract(new, old, out=out)
+    num = float(np.multiply(diff, diff, out=diff).sum())
     den = float(np.sum(old * old))
     if den == 0.0:
         # the update rule is undefined at 0; only a literal fixed point stops
@@ -274,9 +275,10 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     """One shrinkage stage at a fixed gamma from the warm start y, whose
     nuclear norm is nuc and whose spectrum keeps rank nonzero values.
 
-    Each step fills the observed entries with P(X) (squared loss, c=None)
-    or with Huber surrogates for cutoff c, keeps y elsewhere and
-    soft-thresholds the spectrum, until the squared relative change drops
+    Each step copies y into the stage's one fill buffer, writes P(X) (squared
+    loss, c=None) or Huber surrogates for cutoff c over its observed entries
+    and soft-thresholds its spectrum, until the squared relative change (taken
+    in that buffer: the shrinkage's result shares no memory with it) drops
     below config.epsilon.  `svds` counts SVDs already charged to the stage.
     Also returns the nuclear norm and the kept count of y_hat, so the next
     stage needs no SVD and can size a partial one.
@@ -288,15 +290,16 @@ def _stage(problem: Problem, gamma: float, c: Optional[float], y: np.ndarray,
     converged = False
     iterations = 0
     shrunk = np.zeros(0)
+    fill = np.empty(problem.shape)  # C order, so the flat reshape is a view
     for it in range(1, config.max_inner_iters + 1):
-        fill = np.array(y, dtype=float, order="C")  # so the flat reshape is a view
+        np.copyto(fill, y)
         fill.reshape(-1)[obs] = x_obs if c is None else pseudo_data(x_obs, y_obs, c)
         y_new, shrunk = shrink_singular_values(fill, gamma, rank)
         svds += 1
         nuc, rank = float(shrunk.sum()), np.count_nonzero(shrunk)
         y_obs = np.take(y_new, obs)
         trace.append(_objective(x_obs - y_obs, gamma, c, nuc))
-        done = _rel_change_sq(y_new, y) < config.epsilon
+        done = _rel_change_sq(y_new, y, out=fill) < config.epsilon
         y = y_new
         iterations = it
         if done:

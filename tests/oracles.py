@@ -131,3 +131,67 @@ def dense_reference_path(problem, gammas, cutoffs, epsilon, max_iters):
         stages.append((y, iterations, svds, converged, trace))
         svds = 0
     return stages
+
+
+def huber_norm_sq_oracle(r, c):
+    """The Huber sum as `rho`'s branches give it, entry by entry."""
+    from robustmc.huber import rho
+
+    return float(np.sum(rho(r, c)))
+
+
+def partial_svd_oracle(m, gamma, rank):
+    """`matcore._partial_svd` as it was before its step was made to work in
+    place: the same arithmetic in the same order, one temporary per
+    operation.  The production step must match it bit for bit."""
+    from robustmc.matcore import LANCZOS_BREAKDOWN, LANCZOS_TOL, PARTIAL_MARGIN, PARTIAL_SHARE
+
+    (n1, n2), nmin = m.shape, min(m.shape)
+    k = rank + PARTIAL_MARGIN
+    if PARTIAL_SHARE * k > nmin:
+        return None
+    # the bases are rows, so each Gram-Schmidt pass is two matrix-vector products
+    u_rows, v_rows = np.empty((nmin, n1)), np.empty((nmin + 1, n2))
+    alpha, beta = np.empty(nmin), np.empty(nmin)
+    start = np.random.default_rng(0).standard_normal(n2)
+    v_rows[0] = start / np.sqrt(start @ start)
+    scale, check, last = 0.0, 2 * k + 6, None
+    for j in range(nmin):
+        w = m @ v_rows[j] - (beta[j - 1] * u_rows[j - 1] if j else 0.0)
+        w -= u_rows[:j].T @ (u_rows[:j] @ w)
+        alpha[j] = np.sqrt(w @ w)
+        if alpha[j] <= LANCZOS_BREAKDOWN * scale:
+            return None
+        u_rows[j] = w / alpha[j]
+        w = m.T @ u_rows[j] - alpha[j] * v_rows[j]
+        w -= v_rows[:j + 1].T @ (v_rows[:j + 1] @ w)
+        beta[j] = np.sqrt(w @ w)
+        scale = max(scale, alpha[j], beta[j])
+        if beta[j] <= LANCZOS_BREAKDOWN * scale:
+            return None
+        v_rows[j + 1] = w / beta[j]
+        n = j + 1
+        if n < check:
+            continue
+        try:
+            p, s, qt = np.linalg.svd(np.diag(alpha[:n]) + np.diag(beta[:n - 1], 1))
+        except np.linalg.LinAlgError:
+            return None
+        # Ritz values are never above the singular values they approximate,
+        # so one above gamma shows that k is too small before it converges
+        while k <= n and s[k - 1] > gamma:
+            k, last = 2 * k, None
+        if PARTIAL_SHARE * k > nmin:
+            return None
+        if k > n:
+            check = 2 * k + 6
+            continue
+        tol, residual = LANCZOS_TOL * s[0], beta[j] * np.abs(p[j, :k]).max()
+        if residual <= tol:
+            return u_rows[:n].T @ p[:, :k], s[:k], qt[:k] @ v_rows[:n]
+        # check next where the residual's decay puts convergence, n/8 to n/3 steps on
+        step = max(4, n // 3)
+        if last is not None and residual < last[1]:
+            step = int(np.ceil(np.log(tol / residual) * (n - last[0]) / np.log(residual / last[1])))
+        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, residual)
+    return None

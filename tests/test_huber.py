@@ -17,7 +17,7 @@ from robustmc import (
     soft_threshold_scalar,
 )
 
-from oracles import dense_pseudo_data
+from oracles import dense_pseudo_data, huber_norm_sq_oracle
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -108,6 +108,42 @@ class TestHuberNormSq:
         m = np.random.default_rng(14).standard_normal((5, 4))
         c = 10 * float(np.abs(m).max())
         assert huber_norm_sq(m, c) == pytest.approx(np.sum(m * m), rel=1e-12)
+
+
+@st.composite
+def _huber_inputs(draw):
+    """A cutoff and an array holding ties |r| == c, signed zeros and entries
+    whose square overflows, laid out 1-D, C-ordered or F-ordered."""
+    c = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e154, 1e300)))
+    huge = st.floats(1.3e154, 1e300)
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([c, -c, 0.0, -0.0]),
+                      huge, huge.map(lambda v: -v))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    r = np.array(draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    layout = draw(st.sampled_from(["1-D", "C", "F"]))
+    if layout != "1-D":
+        r = r.reshape(rows, cols, order=layout)
+    return r, c
+
+
+class TestHuberNormSqBits:
+    """`huber_norm_sq` fuses `rho`'s branches into one buffer; its sum must
+    keep the bits of np.sum(rho(r, c))."""
+
+    @given(_huber_inputs())
+    def test_matches_the_branch_form(self, case):
+        r, c = case
+        with np.errstate(over="ignore"):
+            got, want = huber_norm_sq(r, c), huber_norm_sq_oracle(r, c)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_large_arrays_keep_their_summation_order(self):
+        # on these inputs the sum's bits depend on the memory order it takes
+        r = np.asfortranarray(np.random.default_rng(43).standard_normal((300, 257)))
+        for m in (r, np.ascontiguousarray(r), r[:, ::2]):
+            want = huber_norm_sq_oracle(m, 1.0)
+            assert np.float64(huber_norm_sq(m, 1.0)).tobytes() == np.float64(want).tobytes()
+        assert huber_norm_sq_oracle(np.ascontiguousarray(r), 1.0) != huber_norm_sq_oracle(r, 1.0)
 
 
 class TestPseudoData:

@@ -28,7 +28,7 @@ from robustmc import (
 from robustmc import matcore
 from robustmc.matcore import _raw_svd, shrink_singular_values
 
-from oracles import gram_singular_values, prox_objective, prox_nuclear_oracle
+from oracles import gram_singular_values, partial_svd_oracle, prox_objective, prox_nuclear_oracle
 
 
 def checkerboard_mask():
@@ -500,6 +500,72 @@ class TestPartialSvd:
         _fail_full_svd(monkeypatch, m.shape)
         _, shrunk = shrink_singular_values(m, self.GAMMA, 6)
         assert shrunk.size < 199 and shrunk[-1] == 0.0
+
+
+class TestPartialSvdStepBits:
+    """The Lanczos step works in place; it must take the roundings of the
+    step it replaced (`partial_svd_oracle`), so no shrinkage moves a bit."""
+
+    @staticmethod
+    def _assert_bitwise(m, gamma, rank):
+        got, want = matcore._partial_svd(m, gamma, rank), partial_svd_oracle(m, gamma, rank)
+        if want is None:
+            assert got is None
+        else:
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        return got
+
+    @pytest.mark.parametrize("shape", [(240, 240), (240, 220), (220, 260)])
+    def test_converged_return(self, shape):
+        rng = np.random.default_rng(40)
+        m = rng.standard_normal((shape[0], 5)) @ rng.standard_normal((5, shape[1]))
+        m += 0.1 * rng.standard_normal(shape)
+        got = self._assert_bitwise(m, 3.0, 6)
+        assert got is not None and got[1].size == 7
+
+    def test_k_doubling(self):
+        got = self._assert_bitwise(_low_rank_plus_noise(15), 3.0, 0)
+        assert got is not None and got[1].size == 8  # k went 1, 2, 4, 8
+
+    @pytest.mark.parametrize("case", ["survivors", "breakdown"])
+    def test_give_up(self, case):
+        if case == "survivors":  # every value survives: 8 k passes the side
+            m, gamma, rank = _low_rank_plus_noise(17), 0.01, 0
+        else:  # exactly rank 3: the basis closes
+            m, gamma, rank = _low_rank_plus_noise(23, rank=3, noise=0.0), 1.0, 3
+        assert self._assert_bitwise(m, gamma, rank) is None
+
+
+def _no_gram(*args, **kwargs):
+    raise AssertionError("Gram shrinkage taken")
+
+
+class TestShrinkageOwnsItsResult:
+    """`_stage` overwrites its fill buffer once the shrinkage returns, so no
+    branch may hand back its input or memory shared with it."""
+
+    @pytest.mark.parametrize("branch", ["lanczos", "gram", "refused gram", "gamma 0", "zero"])
+    def test_out_shares_no_memory_with_the_input(self, monkeypatch, branch):
+        m = _low_rank_plus_noise(41, n=240 if branch == "lanczos" else 100)
+        gamma, size = 3.0, None
+        if branch == "lanczos":
+            monkeypatch.setattr(matcore, "_gram_svd", _no_gram)
+            _fail_full_svd(monkeypatch, m.shape)
+        elif branch == "gram":
+            _fail_full_svd(monkeypatch, m.shape)
+        elif branch == "refused gram":
+            monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+            gamma, size = np.linalg.svd(m, compute_uv=False)[0] / (10 * matcore.GRAM_RATIO), 100
+        elif branch == "gamma 0":
+            gamma, size = 0.0, 100
+        else:
+            m[...] = 0.0
+        out, shrunk = shrink_singular_values(m, gamma, 6)
+        assert size is None or shrunk.size == size
+        kept = out.copy()
+        assert not np.shares_memory(out, m)
+        m[...] = 7.0
+        assert np.array_equal(out, kept)
 
 
 def _eigh_fails(*args, **kwargs):

@@ -352,6 +352,33 @@ class TestRobustImpute:
         assert rel <= 10 * np.sqrt(eps)
 
 
+class TestRelativeChange:
+    """The stop test may take its difference in a scratch buffer, with the
+    bits of the form it replaced, so that no stage stops at another step."""
+
+    @staticmethod
+    def _reference(new, old):
+        num, den = float(np.sum((new - old) ** 2)), float(np.sum(old * old))
+        return num / den if den else (0.0 if num == 0.0 else np.inf)
+
+    @pytest.mark.parametrize("shape", [(240, 220), (7, 3)])
+    @pytest.mark.parametrize("old_order", ["C", "F"])  # F: a soft_impute warm start
+    def test_scratch_gives_the_same_bits(self, shape, old_order):
+        rng = np.random.default_rng(43)
+        old = np.asarray(rng.standard_normal(shape), order=old_order)
+        new = np.ascontiguousarray(old + 1e-3 * rng.standard_normal(shape))
+        want = np.float64(self._reference(new, old)).tobytes()
+        scratch = np.full(shape, np.nan)
+        assert np.float64(solvers._rel_change_sq(new, old)).tobytes() == want
+        assert np.float64(solvers._rel_change_sq(new, old, out=scratch)).tobytes() == want
+
+    @pytest.mark.parametrize("new_value, want", [(0.0, 0.0), (1.0, np.inf)])
+    def test_zero_old_iterate(self, new_value, want):
+        old, new = np.zeros((3, 4)), np.full((3, 4), new_value)
+        assert solvers._rel_change_sq(new, old) == want
+        assert solvers._rel_change_sq(new, old, out=np.empty((3, 4))) == want
+
+
 class TestStageKernel:
     def test_soft_path_equals_chain_of_warm_started_soft_impute(self):
         _, prob = make_instance(47, outlier_frac=0.05)

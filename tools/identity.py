@@ -56,6 +56,8 @@ def _battery():
         ("simulate", "--replicates", "0"),
         ("simulate", "--gamma", "1"),
         ("inpaint", "image.pgm", "--ranks", "50,x"),
+        ("complete", "large.csv"),  # large enough for partial SVDs
+        ("outliers", "large.csv"),
     ]
     return [(f"call{i:02d}", argv + ("--out-dir", f"call{i:02d}"))
             for i, argv in enumerate(calls)]
@@ -89,6 +91,10 @@ def write_inputs(run_dir: Path):
     x[17, 11] -= 8.0
     _write_csv(run_dir / "full.csv", x, np.ones(x.shape, dtype=bool))
     _write_csv(run_dir / "partial.csv", x, rng.random(x.shape) < 0.7)
+    # at least PARTIAL_MIN_SIDE a side, so that shrinkages take the partial SVD
+    x = rng.standard_normal((240, 3)) @ rng.standard_normal((3, 220))
+    x += 0.05 * rng.standard_normal(x.shape) + np.where(rng.random(x.shape) < 0.03, 6.0, 0.0)
+    _write_csv(run_dir / "large.csv", x, rng.random(x.shape) >= 0.3)
 
 
 def run_battery(src: Path, run_dir: Path, calls=BATTERY) -> dict:

@@ -346,6 +346,8 @@ def cmd_inpaint(args) -> int:
         ranks = [int(r) for r in str(args.ranks).split(",") if r.strip() != ""]
     except ValueError:
         raise _UsageError(f"--ranks: cannot parse {args.ranks!r}") from None
+    if any(r < 0 for r in ranks):
+        raise _UsageError(f"--ranks: ranks must be nonnegative, got {args.ranks!r}")
     out_dir = _ensure_out_dir(args)
     img = read_pgm(args.image)
     results, first, recovered = run_study(

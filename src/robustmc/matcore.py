@@ -4,7 +4,8 @@ Everything here is a pure function over numpy arrays, plus three small
 immutable containers (ObservationMask, SvdFactors, Problem).  Matrices are
 plain 2-D float64 ndarrays; returned arrays are freshly allocated and the
 arrays stored inside containers are frozen (read-only), so all types are
-safe to share across threads.
+safe to share across threads.  Importing the module also raises glibc's
+malloc thresholds once, through the freed block below the imports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, DimensionMismatchError, SvdError
+
+# Free one untouched 1 MiB mapped block: glibc then raises its mmap threshold to
+# 1 MiB and its trim threshold to 2 MiB (mallopt(3)), as scipy.linalg's import did,
+# so a small SVD's buffers stay on the heap instead of being trimmed and refaulted.
+np.empty(1 << 17)
 
 
 def as_matrix(a, name: str = "matrix", shape=None) -> np.ndarray:

@@ -218,9 +218,10 @@ def _cutoff(config, problem, gamma):
 
 
 def default_gamma_path(problem: Problem, count: int = 20) -> tuple:
-    """Log-spaced gamma path from 0.95 down to 0.01 times the largest
-    singular value of the observed matrix, the smallest weight for which
-    the solution collapses to zero.
+    """Log-spaced gamma path from 0.95 down to 0.01 times sigma1, the largest
+    singular value of the observed matrix: the smallest weight for which the
+    squared-loss solution collapses to zero.  Not so for Huber loss, which is
+    zero once ``||0.5 * psi_c(P(X))||_2 <= gamma``; outliers barely move that.
     """
     count = SolverConfig(gamma_count=count).gamma_count  # owns the count rule
     _, s, _ = _raw_svd(problem.values)

@@ -445,7 +445,8 @@ BAD_FLAG_VALUES = (
     + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
     + _bad_values(("inpaint",), ["--missing-frac", "1.5"], ["--snr", "0"],
                   ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"],
-                  ["--method", "soft", "--gamma", "0"], ["--ranks", "50,x"])
+                  ["--method", "soft", "--gamma", "0"], ["--ranks", "50,x"],
+                  ["--ranks=-1,0"])
 )
 
 

@@ -1,3 +1,8 @@
+import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +30,7 @@ from robustmc import (
     svd_soft_threshold,
 )
 
+import robustmc
 from robustmc import matcore
 from robustmc.matcore import _raw_svd, shrink_singular_values
 
@@ -674,3 +680,29 @@ class TestGramSvd:
         want = _lapack_shrink(m, gamma)
         assert np.count_nonzero(want[1]) > 20
         self._assert_matches_lapack(got, want)
+
+
+_FAULTS_SCRIPT = """
+import json, resource
+from robustmc import SyntheticSpec, generate_synthetic, robust_impute
+problem = generate_synthetic(SyntheticSpec(100, 100, 10, 1, 0.1, 0.5, seed=5)).problem()
+robust_impute(problem)  # warm-up: first-call allocations and imports
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+path = robust_impute(problem)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"faults": faults, "iterations": sum(s.iterations for s in path.solutions)}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_small_robust_path_does_not_refault_the_heap():
+    # a fresh process: importing scipy.linalg, as this module does, would
+    # raise glibc's thresholds by itself and hide a missing priming block
+    src_dir = os.path.dirname(os.path.dirname(robustmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    got = json.loads(run.stdout)
+    # 140 iterations: about 1 fault in all with matcore's priming block, 5000 without it
+    assert got["faults"] < 10 * got["iterations"], got

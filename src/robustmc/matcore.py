@@ -188,27 +188,39 @@ def project(m, mask: ObservationMask) -> np.ndarray:
 
 
 # The shrinkage step tries a partial SVD only on matrices whose shorter side
-# is at least PARTIAL_MIN_SIDE, asks for PARTIAL_MARGIN more triplets than
-# the previous iterate kept (the one at or below gamma), and gives up once
-# PARTIAL_SHARE times the number asked for exceeds the shorter side: past
-# that, the Lanczos basis is no cheaper than a full SVD.
+# is at least PARTIAL_MIN_SIDE, and gives up once PARTIAL_SHARE times the
+# number of triplets it needs exceeds the shorter side: past that, the
+# Lanczos basis is no cheaper than a full SVD.  It needs every value above
+# gamma plus one at or below it, and first guesses that number as
+# PARTIAL_MARGIN more than the previous iterate kept: its first check comes
+# after twice the guess plus 6 steps.
 PARTIAL_MIN_SIDE = 200
 PARTIAL_MARGIN = 1
 PARTIAL_SHARE = 8
-# A Ritz triplet converges at a residual of LANCZOS_TOL times the top Ritz value; a
+# A kept Ritz triplet converges at a residual of LANCZOS_TOL times the top Ritz value; a
 # basis vector under LANCZOS_BREAKDOWN times the top bidiagonal entry ends the basis.
 LANCZOS_TOL = 1e-11
 LANCZOS_BREAKDOWN = 1e-13
+# Power steps, from a seeded start, that look for a value above gamma off the Krylov bases.
+PROBE_STEPS = 3
 
 
 def _partial_svd(m: np.ndarray, gamma: float, rank: int):
     """Leading singular triplets of ``m``, descending, down to one at or
-    below ``gamma``; None when too many are needed, the basis closes or an SVD fails.
+    below ``gamma``; None when too many are needed, the basis closes, an SVD
+    fails or the probe finds a value above ``gamma`` off the bases.
 
     Golub-Kahan-Lanczos bidiagonalisation, fully reorthogonalised: the Ritz
-    triplet (s, U_j p, V_j q) of the bidiagonal B_j has residual beta_j |p_j|.
-    Every singular value left out is at most the smallest one returned, so
-    soft-thresholding the returned spectrum by ``gamma`` is exact.
+    triplet (s, U_j p, V_j q) of the bidiagonal B_j has residual
+    beta_j |p_j|, so some singular value lies within it of s.  The result is
+    accepted once every Ritz value above ``gamma`` has a residual of at most
+    LANCZOS_TOL times the top one and the next Ritz value plus its residual
+    is at most ``gamma``, as PROPACK's thresholded SVD (Larsen 1998) asks;
+    a few power steps on ``m`` off the bases then check that no value above
+    ``gamma`` was missed (a repeated one, of which one start vector sees a
+    single copy), so soft-thresholding the returned spectrum by ``gamma`` is
+    exact.  Only the kept triplets are converged: the last one returned is
+    a value at or below ``gamma``, which the threshold zeroes.
     """
     (n1, n2), nmin = m.shape, min(m.shape)
     k = rank + PARTIAL_MARGIN
@@ -245,23 +257,42 @@ def _partial_svd(m: np.ndarray, gamma: float, rank: int):
         except np.linalg.LinAlgError:
             return None
         # Ritz values are never above the singular values they approximate,
-        # so one above gamma shows that k is too small before it converges
-        while k <= n and s[k - 1] > gamma:
-            k, last = 2 * k, None
+        # so each one above gamma is a value the threshold keeps
+        k = np.count_nonzero(s > gamma) + 1
         if PARTIAL_SHARE * k > nmin:
             return None
         if k > n:
-            check = 2 * k + 6
+            check, last = 2 * k + 6, None
             continue
-        tol, residual = LANCZOS_TOL * s[0], beta[j] * np.abs(p[j, :k]).max()
-        if residual <= tol:
+        tol, residual = LANCZOS_TOL * s[0], b * np.abs(p[j, :k])
+        kept, gap = residual[:-1].max(initial=0.0), gamma - s[k - 1]
+        if kept <= tol and residual[-1] <= gap:
+            if _probe(m, gamma, u_rows[:n], v_rows[:n + 1]):
+                return None
             return u_rows[:n].T @ p[:, :k], s[:k], qt[:k] @ v_rows[:n]
-        # check next where the residual's decay puts convergence, n/8 to n/3 steps on
+        # check next where the excess's decay puts the certificate, n/8 to n/3 steps on
+        excess = max(kept / tol, residual[-1] / gap if gap > 0 else math.inf)
         step = max(4, n // 3)
-        if last is not None and residual < last[1]:
-            step = int(np.ceil(np.log(tol / residual) * (n - last[0]) / np.log(residual / last[1])))
-        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, residual)
+        if last is not None and last[2] == k and excess < last[1] < math.inf:
+            step = math.ceil(math.log(excess) * (n - last[0]) / math.log(last[1] / excess))
+        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, excess, k)
     return None
+
+
+def _probe(m, gamma: float, u_basis: np.ndarray, v_basis: np.ndarray) -> bool:
+    """Whether PROBE_STEPS power steps on ``m``, kept orthogonal to the
+    left basis ``u_basis`` and the right one ``v_basis``, find a value above
+    ``gamma``.  In exact arithmetic ``m`` maps the complement of the right
+    basis into that of the left one, so these steps see only values that the
+    bases left out."""
+    x = np.random.default_rng(1).standard_normal(v_basis.shape[1])
+    x -= v_basis.T @ (v_basis @ x)
+    for _ in range(PROBE_STEPS):
+        y = m @ (x / math.sqrt(x @ x))
+        y -= u_basis.T @ (u_basis @ y)
+        x = m.T @ (y / math.sqrt(y @ y))
+        x -= v_basis.T @ (v_basis @ x)
+    return math.sqrt(x @ x) > gamma
 
 
 # A dense shrinkage takes the eigendecomposition of the Gram matrix on the

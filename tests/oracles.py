@@ -8,6 +8,8 @@ a different computational path than the production one-shot operators.
 and replays the solvers' stage on whole matrices, to pin their steps.
 """
 
+import math
+
 import numpy as np
 
 
@@ -143,8 +145,10 @@ def huber_norm_sq_oracle(r, c):
 def partial_svd_oracle(m, gamma, rank):
     """`matcore._partial_svd` as it was before its step was made to work in
     place: the same arithmetic in the same order, one temporary per
-    operation.  The production step must match it bit for bit."""
-    from robustmc.matcore import LANCZOS_BREAKDOWN, LANCZOS_TOL, PARTIAL_MARGIN, PARTIAL_SHARE
+    operation, and the same stop rule and probe.  The production step must
+    match it bit for bit."""
+    from robustmc.matcore import (LANCZOS_BREAKDOWN, LANCZOS_TOL, PARTIAL_MARGIN,
+                                  PARTIAL_SHARE, PROBE_STEPS)
 
     (n1, n2), nmin = m.shape, min(m.shape)
     k = rank + PARTIAL_MARGIN
@@ -177,21 +181,29 @@ def partial_svd_oracle(m, gamma, rank):
             p, s, qt = np.linalg.svd(np.diag(alpha[:n]) + np.diag(beta[:n - 1], 1))
         except np.linalg.LinAlgError:
             return None
-        # Ritz values are never above the singular values they approximate,
-        # so one above gamma shows that k is too small before it converges
-        while k <= n and s[k - 1] > gamma:
-            k, last = 2 * k, None
+        k = np.count_nonzero(s > gamma) + 1
         if PARTIAL_SHARE * k > nmin:
             return None
         if k > n:
-            check = 2 * k + 6
+            check, last = 2 * k + 6, None
             continue
-        tol, residual = LANCZOS_TOL * s[0], beta[j] * np.abs(p[j, :k]).max()
-        if residual <= tol:
+        tol, residual = LANCZOS_TOL * s[0], beta[j] * np.abs(p[j, :k])
+        kept, gap = residual[:-1].max(initial=0.0), gamma - s[k - 1]
+        if kept <= tol and residual[-1] <= gap:
+            u_basis, v_basis = u_rows[:n], v_rows[:n + 1]
+            x = np.random.default_rng(1).standard_normal(n2)
+            x = x - v_basis.T @ (v_basis @ x)
+            for _ in range(PROBE_STEPS):
+                y = m @ (x / np.sqrt(x @ x))
+                y = y - u_basis.T @ (u_basis @ y)
+                x = m.T @ (y / np.sqrt(y @ y))
+                x = x - v_basis.T @ (v_basis @ x)
+            if np.sqrt(x @ x) > gamma:
+                return None
             return u_rows[:n].T @ p[:, :k], s[:k], qt[:k] @ v_rows[:n]
-        # check next where the residual's decay puts convergence, n/8 to n/3 steps on
+        excess = max(kept / tol, residual[-1] / gap if gap > 0 else math.inf)
         step = max(4, n // 3)
-        if last is not None and residual < last[1]:
-            step = int(np.ceil(np.log(tol / residual) * (n - last[0]) / np.log(residual / last[1])))
-        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, residual)
+        if last is not None and last[2] == k and excess < last[1] < math.inf:
+            step = math.ceil(math.log(excess) * (n - last[0]) / math.log(last[1] / excess))
+        check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, excess, k)
     return None

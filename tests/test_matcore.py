@@ -405,13 +405,14 @@ class TestPartialSvd:
         assert np.allclose(m @ vt.T, u * s, atol=1e-10 * s[0])
 
     def test_too_small_rank_hint_grows_k(self, monkeypatch):
-        # a zero hint asks for 1 triplet; the guard doubles k to 2, 4 and 8
-        # in the same basis, and no full SVD of m is taken
+        # a zero hint asks for 1 triplet; the first check finds six Ritz
+        # values above gamma, so k becomes 7 (the kept values plus one) in
+        # the same basis, and no full SVD of m is taken
         m = _low_rank_plus_noise(15)
         want = _dense_shrink(monkeypatch, m, self.GAMMA)
         _fail_full_svd(monkeypatch, m.shape)
         got = shrink_singular_values(m, self.GAMMA, 0)
-        assert got[1].size == 8
+        assert got[1].size == np.count_nonzero(want[1]) + 1 == 7
         self._assert_matches_dense(got, want)
 
     def test_zero_hint_on_a_flat_spectrum_stays_partial(self, monkeypatch):
@@ -428,8 +429,7 @@ class TestPartialSvd:
 
     def test_repeated_top_value_is_kept_in_full(self, monkeypatch):
         # one start vector sees a single copy of a repeated singular value in
-        # exact arithmetic; the basis must grow until rounding brings in the
-        # other two before the values at 10 count as converged
+        # exact arithmetic; the probe off the bases finds the other two
         rng = np.random.default_rng(22)
         q1, _ = np.linalg.qr(rng.standard_normal((240, 240)))
         q2, _ = np.linalg.qr(rng.standard_normal((240, 240)))
@@ -474,7 +474,7 @@ class TestPartialSvd:
         assert np.array_equal(out, want[0]) and np.array_equal(shrunk, want[1])
 
     def test_too_many_survivors_stop_the_basis_early(self):
-        # every value survives: k doubles at each check until 8 k passes the
+        # every value survives: k grows at each check until 8 k passes the
         # side, which happens long before the basis could fill the side
         m = _CountingMatrix(_low_rank_plus_noise(17))
         assert matcore._partial_svd(m, 0.01, 0) is None
@@ -527,11 +527,12 @@ class TestPartialSvdStepBits:
         m = rng.standard_normal((shape[0], 5)) @ rng.standard_normal((5, shape[1]))
         m += 0.1 * rng.standard_normal(shape)
         got = self._assert_bitwise(m, 3.0, 6)
-        assert got is not None and got[1].size == 7
+        kept = np.count_nonzero(np.linalg.svd(m, compute_uv=False) > 3.0)
+        assert got is not None and got[1].size == kept + 1
 
-    def test_k_doubling(self):
+    def test_k_grows_to_the_kept_count_plus_one(self):
         got = self._assert_bitwise(_low_rank_plus_noise(15), 3.0, 0)
-        assert got is not None and got[1].size == 8  # k went 1, 2, 4, 8
+        assert got is not None and got[1].size == 7  # k went 1, then 6 kept + 1
 
     @pytest.mark.parametrize("case", ["survivors", "breakdown"])
     def test_give_up(self, case):
@@ -540,6 +541,81 @@ class TestPartialSvdStepBits:
         else:  # exactly rank 3: the basis closes
             m, gamma, rank = _low_rank_plus_noise(23, rank=3, noise=0.0), 1.0, 3
         assert self._assert_bitwise(m, gamma, rank) is None
+
+
+def _spy(log, real):
+    """``real``, appending each result to ``log``."""
+    def call(*args):
+        log.append(real(*args))
+        return log[-1]
+    return call
+
+
+def _repeated_top_value(seed=22):
+    """240x240 with a top singular value 10 of multiplicity 3 over a spectrum below 4."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((240, 240)))
+    q2, _ = np.linalg.qr(rng.standard_normal((240, 240)))
+    return (q1 * np.r_[10.0, 10.0, 10.0, np.linspace(4.0, 0.1, 237)]) @ q2.T
+
+
+class TestShrinkageCertificate:
+    """The partial SVD converges only the kept triplets and stops once the
+    first discarded Ritz value plus its residual is at most gamma; its kept
+    count and composed shrinkage must still be the dense ones."""
+
+    KINDS = ("just above", "just below", "cluster", "bulk edge", "separated")
+
+    @classmethod
+    def _case(cls, seed, kind):
+        # signal values in [2, 20], then the kind's values near gamma = 1, then a bulk
+        rng = np.random.default_rng([seed, cls.KINDS.index(kind)])
+        n1, n2 = (int(n) for n in rng.integers(200, 261, 2))
+        nmin = min(n1, n2)
+        head = np.sort(rng.uniform(2.0, 20.0, rng.integers(1, 9)))[::-1]
+        if kind in ("just above", "just below"):
+            head = np.r_[head, 1.0 + (1e-6 if kind == "just above" else -1e-6)]
+        elif kind == "cluster":  # six values straddling gamma, none on it
+            head = np.r_[head, 1.0 + np.linspace(1e-3, -1e-3, 6)]
+        top = {"bulk edge": 0.999, "separated": 0.5}.get(kind, 0.9)
+        s = np.r_[head, np.linspace(top, 1e-3, nmin - head.size)]
+        q1, _ = np.linalg.qr(rng.standard_normal((n1, nmin)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n2, nmin)))
+        return (q1 * s) @ q2.T, int(rng.integers(0, np.count_nonzero(s > 1.0) + 2))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_battery_matches_the_dense_shrinkage(self, kind):
+        for seed in range(6):
+            m, rank = self._case(seed, kind)
+            got = matcore._partial_svd(m, 1.0, rank)
+            assert got is not None, (seed, kind)
+            u, s, vt = got
+            assert s[-1] <= 1.0 and np.all(s[:-1] > 1.0)
+            out = (u[:, :-1] * (s[:-1] - 1.0)) @ vt[:-1]
+            ref, ref_shrunk = _lapack_shrink(m, 1.0)
+            assert s.size - 1 == np.count_nonzero(ref_shrunk), (seed, kind)
+            assert np.linalg.norm(out - ref) <= 1e-10 * (ref_shrunk[0] + 1.0), (seed, kind)  # s1
+
+    def test_probe_hands_a_repeated_top_value_to_the_gram(self, monkeypatch):
+        # the Krylov bases see one copy of the top value; the probe off them
+        # finds another, so the partial SVD gives up and the Gram serves
+        m = _repeated_top_value()
+        probes, partials, grams = [], [], []
+        monkeypatch.setattr(matcore, "_probe", _spy(probes, matcore._probe))
+        monkeypatch.setattr(matcore, "_partial_svd", _spy(partials, matcore._partial_svd))
+        monkeypatch.setattr(matcore, "_gram_svd", _spy(grams, matcore._gram_svd))
+        _fail_full_svd(monkeypatch, m.shape)
+        _, shrunk = shrink_singular_values(m, 5.0, 0)
+        assert probes == [True] and partials == [None]
+        assert len(grams) == 1 and grams[0] is not None
+        assert np.count_nonzero(shrunk) == 3
+        assert partial_svd_oracle(m, 5.0, 0) is None
+
+    def test_probe_passes_an_ordinary_matrix(self, monkeypatch):
+        probes = []
+        monkeypatch.setattr(matcore, "_probe", _spy(probes, matcore._probe))
+        assert matcore._partial_svd(_low_rank_plus_noise(14), 3.0, 6) is not None
+        assert probes == [False]
 
 
 def _no_gram(*args, **kwargs):

@@ -10,13 +10,20 @@ tree, on the same generated inputs and with relative paths, so that no
 message or manifest names either tree.  Exit codes, stderr and every file a
 run leaves are compared byte for byte; `manifest.json` is compared without
 its `created_utc` stamp.  Prints one JSON summary line and exits 1 on any
-difference.  The worktree is removed again however the run ends.
+difference.  For each CSV or JSON file that differs, the summary's `moved`
+entry says how far it moved: the largest relative difference among its
+floating-point numbers (each against its own magnitude, and against the
+file's largest), and whether its discrete fields (integers such as
+ranks and iteration counts, booleans such as `converged`, and text) are
+equal; `exit_codes_equal` says the same of the calls' exit codes.  The
+worktree is removed again however the run ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,6 +130,65 @@ def _content(path: Path):
     return path.read_bytes()
 
 
+def _cell(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return {"True": True, "False": False, "true": True, "false": False}.get(text, text)
+
+
+def _leaves(item):
+    if isinstance(item, dict):
+        for key in sorted(item):
+            yield key
+            yield from _leaves(item[key])
+    elif isinstance(item, list):
+        for value in item:
+            yield from _leaves(value)
+    else:
+        yield item
+
+
+def _values(path: Path):
+    """The values of a CSV or JSON file in reading order; None for any other file."""
+    if path.suffix == ".json":
+        content = _content(path)
+        return list(_leaves(json.loads(content) if isinstance(content, bytes) else content))
+    if path.suffix == ".csv":
+        return [_cell(cell) for line in path.read_text().splitlines() for cell in line.split(",")]
+    return None
+
+
+def distance(base: Path, head: Path):
+    """How far a differing file moved: {"max_rel_diff", "max_diff_over_scale",
+    "discrete_equal"}.  A float's relative difference is |a - b| / max(|a|, |b|);
+    the scaled one divides |a - b| by the largest magnitude among the file's
+    floats instead.  None for a file that is neither CSV nor JSON; files
+    whose floats do not pair up get no differences and unequal discrete fields."""
+    a, b = _values(base), _values(head)
+    if a is None or b is None:
+        return None
+    if len(a) != len(b) or any((type(x) is float) != (type(y) is float) for x, y in zip(a, b)):
+        return {"max_rel_diff": None, "max_diff_over_scale": None, "discrete_equal": False}
+    discrete = all(type(x) is type(y) and x == y for x, y in zip(a, b) if type(x) is not float)
+    pairs = np.array([(x, y) for x, y in zip(a, b) if type(x) is float], dtype=float).reshape(-1, 2)
+    moved = pairs[(pairs[:, 0] != pairs[:, 1]) & ~np.isnan(pairs).all(axis=1)]
+    if not np.isfinite(moved).all():  # an infinity or a NaN on one side only
+        return {"max_rel_diff": math.inf, "max_diff_over_scale": math.inf, "discrete_equal": discrete}
+    if not moved.size:
+        return {"max_rel_diff": 0.0, "max_diff_over_scale": 0.0, "discrete_equal": discrete}
+    # near a cancellation (a residual, a difference) an entry's own magnitude
+    # overstates the move, so it is also given against the file's largest number
+    diff = np.abs(moved[:, 0] - moved[:, 1])
+    return {"max_rel_diff": float((diff / np.abs(moved).max(axis=1)).max()),
+            "max_diff_over_scale": float(diff.max() / np.abs(pairs[np.isfinite(pairs)]).max()),
+            "discrete_equal": discrete}
+
+
 def compare(base_dir: Path, base_runs: dict, head_dir: Path, head_runs: dict) -> list:
     """Every difference between two battery runs, one message each."""
     diffs = []
@@ -156,8 +222,14 @@ def identity(base: str, calls=BATTERY) -> dict:
             subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
                            check=False)
         diffs = compare(base_dir, base_runs, head_dir, head_runs)
+        base_files, head_files = _files(base_dir), _files(head_dir)
+        moved = {rel: distance(base_files[rel], head_files[rel])
+                 for rel in sorted(base_files.keys() & head_files.keys())
+                 if _content(base_files[rel]) != _content(head_files[rel])}
         return {"base": base, "commit": commit, "calls": len(calls),
-                "files": len(_files(head_dir)), "identical": not diffs, "differences": diffs}
+                "files": len(head_files), "identical": not diffs, "differences": diffs,
+                "moved": moved,
+                "exit_codes_equal": all(base_runs[n][0] == head_runs[n][0] for n in base_runs)}
 
 
 def main(argv=None) -> int:

@@ -11,9 +11,7 @@ from .errors import (
 from .matcore import (
     ObservationMask,
     Problem,
-    SvdFactors,
     nuclear_norm,
-    project,
     svd,
     svd_soft_threshold,
 )

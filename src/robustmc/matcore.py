@@ -1,7 +1,7 @@
-"""Dense matrices, observation masks, projections, norms, and SVD machinery.
+"""Dense matrices, observation masks, norms, and SVD machinery.
 
-Everything here is a pure function over numpy arrays, plus three small
-immutable containers (ObservationMask, SvdFactors, Problem).  Matrices are
+Everything here is a pure function over numpy arrays, plus two small
+immutable containers (ObservationMask, Problem).  Matrices are
 plain 2-D float64 ndarrays; returned arrays are freshly allocated and the
 arrays stored inside containers are frozen (read-only), so all types are
 safe to share across threads.  Importing the module also raises glibc's
@@ -50,8 +50,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class ObservationMask:
     """The set of observed (row, col) positions of an n1 x n2 grid.
 
-    Stored as a read-only boolean matrix; duplicate pairs are impossible by
-    construction and `from_pairs` rejects them explicitly.
+    Stored as a read-only boolean matrix, so a position is observed at most
+    once.
     """
 
     __slots__ = ("_flags",)
@@ -65,22 +65,6 @@ class ObservationMask:
         f = f.copy()
         f.flags.writeable = False
         self._flags = f
-
-    @classmethod
-    def full(cls, n_rows: int, n_cols: int) -> "ObservationMask":
-        return cls(np.ones((n_rows, n_cols), dtype=bool))
-
-    @classmethod
-    def from_pairs(cls, n_rows: int, n_cols: int, pairs) -> "ObservationMask":
-        """Build a mask from an iterable of zero-based (row, col) pairs."""
-        flags = np.zeros((n_rows, n_cols), dtype=bool)
-        for i, j in pairs:
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise DataValidationError(f"index ({i}, {j}) outside {n_rows}x{n_cols} grid")
-            if flags[i, j]:
-                raise DataValidationError(f"duplicate index ({i}, {j})")
-            flags[i, j] = True
-        return cls(flags)
 
     @property
     def flags(self) -> np.ndarray:
@@ -119,33 +103,6 @@ class ObservationMask:
 
 
 @dataclass(frozen=True, eq=False)
-class SvdFactors:
-    """Thin SVD: u @ diag(singular_values) @ v.T reconstructs the input."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        r = self.singular_values.shape[0]
-        if self.u.shape[1] != r or self.v.shape[1] != r:
-            raise DimensionMismatchError("factor widths must match the number of singular values")
-        for field in ("u", "singular_values", "v"):
-            frozen = np.array(getattr(self, field), dtype=float, copy=True)
-            frozen.flags.writeable = False
-            object.__setattr__(self, field, frozen)
-
-    @property
-    def rank(self) -> int:
-        return self.singular_values.shape[0]
-
-    def compose(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros((self.u.shape[0], self.v.shape[0]))
-        return (self.u * self.singular_values) @ self.v.T
-
-
-@dataclass(frozen=True, eq=False)
 class Problem:
     """Partially observed matrix: observed values (zeros elsewhere) plus mask."""
 
@@ -180,11 +137,6 @@ class Problem:
     @property
     def observed_fraction(self) -> float:
         return self.mask.fraction_observed
-
-
-def project(m, mask: ObservationMask) -> np.ndarray:
-    """Keep entries on the mask, zero elsewhere."""
-    return np.where(mask.flags, as_matrix(m, "matrix", mask.shape), 0.0)
 
 
 # The shrinkage step tries a partial SVD only on matrices whose shorter side
@@ -380,14 +332,13 @@ def nuclear_norm(m) -> float:
     return float(s.sum())
 
 
-def svd(m) -> SvdFactors:
-    """Thin SVD as factors; the all-zero matrix yields a rank-0 factorization."""
+def svd(m):
+    """Thin SVD ``(u, s, vt)`` with ``u @ diag(s) @ vt`` equal to ``m``, as
+    `_raw_svd` returns it; the all-zero matrix yields rank-0 factors."""
     m = as_matrix(m)
-    n1, n2 = m.shape
     if not m.any():
-        return SvdFactors(np.zeros((n1, 0)), np.zeros(0), np.zeros((n2, 0)))
-    u, s, vt = _raw_svd(m)
-    return SvdFactors(u, s, vt.T)
+        return np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1]))
+    return _raw_svd(m)
 
 
 def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):

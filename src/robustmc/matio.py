@@ -107,20 +107,10 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
     return Problem(values, ObservationMask(np.asarray(observed, dtype=bool)))
 
 
-def _csv_rows(m, mask):
-    """Check ``m`` against ``mask`` now; return its CSV rows, each ending
-    in a newline, one at a time (unobserved cells empty)."""
-    m = as_matrix(m, "matrix", None if mask is None else mask.shape)
-    if mask is None:
-        return (",".join(map(repr, row.tolist())) + "\n" for row in m)
-    return (",".join(repr(v) if seen else "" for v, seen in zip(row.tolist(), flags.tolist()))
-            + "\n" for row, flags in zip(m, mask.flags))
-
-
-def write_matrix_csv(path, m, mask: ObservationMask = None):
-    """Write a matrix as CSV, streamed row by row; with a mask, unobserved
-    cells are empty."""
-    _atomic_write(path, (row.encode("utf-8") for row in _csv_rows(m, mask)))
+def write_matrix_csv(path, m):
+    """Write a matrix as CSV, streamed row by row."""
+    m = as_matrix(m)
+    _atomic_write(path, ((",".join(map(repr, row.tolist())) + "\n").encode("utf-8") for row in m))
 
 
 def _pgm_header_tokens(data: bytes, count: int):

@@ -425,12 +425,11 @@ def stationarity_certificate(problem: Problem, y_hat, gamma: float, c: float) ->
     y_hat = as_matrix(y_hat, "y_hat", problem.shape)
     resid = np.where(problem.mask.flags, problem.values - y_hat, 0.0)
     m = 0.5 * psi(resid, c) / gamma
-    factors = svd(y_hat)
-    r = _rank_from_values(factors.singular_values)
+    u, s, vt = svd(y_hat)
+    r = _rank_from_values(s)
     if r == 0:
         return CertificateReport(0.0, float(np.linalg.norm(m, 2)), 0)
-    u = factors.u[:, :r]
-    v = factors.v[:, :r]
+    u, v = u[:, :r], vt[:r].T
     utm = u.T @ m
     tangent = u @ utm + (m @ v) @ v.T - u @ (utm @ v) @ v.T
     gap = float(np.linalg.norm(tangent - u @ v.T, "fro"))

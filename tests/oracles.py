@@ -6,6 +6,9 @@ loops with step sizes away from 1, so their fixed points are reached along
 a different computational path than the production one-shot operators.
 `dense_reference_path` is the exception: it keeps the package's shrinkage
 and replays the solvers' stage on whole matrices, to pin their steps.
+`partial_svd_oracle` and `certificate_oracle` are copies of earlier
+production code that pin its bits, and `csv_text` is the matrix CSV dialect
+written out by hand.
 """
 
 import math
@@ -207,3 +210,38 @@ def partial_svd_oracle(m, gamma, rank):
             step = math.ceil(math.log(excess) * (n - last[0]) / math.log(last[1] / excess))
         check, last = n + min(max(step, 3, n // 8), max(4, n // 3)), (n, excess, k)
     return None
+
+
+def csv_text(m, flags=None):
+    """The matrix CSV text of ``m``: shortest repr per cell, cells off
+    ``flags`` empty."""
+    if flags is None:
+        flags = np.ones(m.shape, dtype=bool)
+    return "".join(
+        ",".join(repr(float(v)) if seen else "" for v, seen in zip(row, row_flags)) + "\n"
+        for row, row_flags in zip(m, flags))
+
+
+def certificate_oracle(problem, y_hat, gamma, c):
+    """`stationarity_certificate`'s numbers as they were computed from a
+    frozen factor container: numpy's thin SVD, with order-K copies of ``u``,
+    the singular values and ``vt.T``, and the tangent space of the leading
+    ``r`` of them.  Returns ``(tangent_gap, orthogonal_norm, rank)``."""
+    from robustmc.huber import psi
+    from robustmc.solvers import RANK_TOL
+
+    resid = np.where(problem.mask.flags, problem.values - y_hat, 0.0)
+    m = 0.5 * psi(resid, c) / gamma
+    if y_hat.any():
+        u, s, vt = np.linalg.svd(y_hat, full_matrices=False)
+        u, s, v = (np.array(a, dtype=float, copy=True) for a in (u, s, vt.T))
+    else:
+        u, s, v = np.zeros((y_hat.shape[0], 0)), np.zeros(0), np.zeros((y_hat.shape[1], 0))
+    r = int(np.sum(s > RANK_TOL * float(s.max(initial=0.0))))
+    if r == 0:
+        return 0.0, float(np.linalg.norm(m, 2)), 0
+    u, v = u[:, :r], v[:, :r]
+    utm = u.T @ m
+    tangent = u @ utm + (m @ v) @ v.T - u @ (utm @ v) @ v.T
+    return (float(np.linalg.norm(tangent - u @ v.T, "fro")),
+            float(np.linalg.norm(m - tangent, 2)), r)

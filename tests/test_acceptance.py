@@ -75,7 +75,7 @@ def test_criterion_1_prox_oracle_equivalence():
         n1 = int(rng.integers(3, 13))
         n2 = int(rng.integers(3, 9))
         m = 3.0 * rng.standard_normal((n1, n2))
-        gamma = float(rng.uniform(0.1, 0.5)) * float(svd(m).singular_values[0])
+        gamma = float(rng.uniform(0.1, 0.5)) * float(svd(m)[1][0])
         ours = svd_soft_threshold(m, gamma)
         ref = prox_nuclear_oracle(m, gamma, step=0.5, obj_tol=1e-9)
         worst = max(worst, np.linalg.norm(ours - ref) / np.linalg.norm(ref))
@@ -154,7 +154,7 @@ def test_criterion_3_pcp_equivalence():
     for seed in range(10):
         prob = seeded_outlier_problem(2000 + seed, max_side=20, outlier_frac=0.1,
                                       outlier_scale=7.0)
-        gamma = 0.15 * float(svd(prob.values).singular_values[0]) * (0.5 + 0.05 * seed)
+        gamma = 0.15 * float(svd(prob.values)[1][0]) * (0.5 + 0.05 * seed)
         c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
         y = robust_impute(prob, SolverConfig(gamma_path=(gamma,), cutoff=c,
                                              epsilon=1e-13, max_inner_iters=20000))[0]
@@ -285,7 +285,7 @@ def _solve(instance_at, replicates, gammas):
 def _rank_targeted_path(instance_at):
     """Fixed gamma set: coarse backbone plus windows around each target rank,
     anchored on a warm-started pilot profile per method on replicate 0."""
-    sigma1 = float(svd(instance_at(0).problem().values).singular_values[0])
+    sigma1 = float(svd(instance_at(0).problem().values)[1][0])
     backbone = np.geomspace(0.045 * sigma1, 0.0002 * sigma1, 20)
     pieces = [backbone]
     for pilot in _solve(instance_at, 1, tuple(backbone)):

@@ -18,6 +18,8 @@ from robustmc import ObservationMask, SvdError
 from robustmc.cli import BENCH_CSV_HEADER, main
 from robustmc.matio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 
+from oracles import csv_text
+
 
 def write_fixture_csv(path, seed=80, n=6, outliers=((1, 1, 9.0), (4, 2, -8.0)),
                       observed=0.8):
@@ -28,9 +30,8 @@ def write_fixture_csv(path, seed=80, n=6, outliers=((1, 1, 9.0), (4, 2, -8.0)),
     for i, j, v in outliers:
         x[i, j] += v
         flags[i, j] = True
-    mask = ObservationMask(flags)
-    write_matrix_csv(path, np.where(flags, x, 0.0), mask)
-    return x, mask
+    path.write_text(csv_text(x, flags))
+    return x, ObservationMask(flags)
 
 
 class TestComplete:

@@ -39,7 +39,7 @@ class TestExtractSparse:
 
     def test_single_cell_soft_threshold(self):
         prob = Problem(np.array([[2.0, 0.0], [0.0, 0.0]]),
-                       ObservationMask.from_pairs(2, 2, [(0, 0)]))
+                       ObservationMask(np.array([[True, False], [False, False]])))
         c = 1.0
         s = extract_sparse(prob, np.zeros((2, 2)), c)
         assert s[0, 0] == pytest.approx(c)  # residual 2c shrinks to c
@@ -135,7 +135,7 @@ class TestSolvePcpAlternating:
     def test_huge_gamma_gives_pure_soft_threshold(self):
         _, prob = make_problem(61)
         c = 0.2
-        gamma = svd(prob.values).singular_values[0] * 50
+        gamma = svd(prob.values)[1][0] * 50
         _, low, sparse = solve_pair(prob, gamma, c, epsilon=1e-12)
         assert not low.any()
         expected = np.where(prob.mask.flags, soft_threshold_scalar(prob.values, c), 0.0)
@@ -157,7 +157,7 @@ class TestSolvePcpAlternating:
 
     def test_agrees_with_robust_impute(self):
         _, prob = make_problem(63, n1=15, n2=15, outliers=[(2, 2, 8.0), (9, 4, -9.0)])
-        gamma = svd(prob.values).singular_values[0] * 0.2
+        gamma = svd(prob.values)[1][0] * 0.2
         c = choose_cutoff(gamma, 15, 15, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         y = robust_impute(prob, cfg)[0].y_hat
@@ -172,7 +172,7 @@ class TestSolvePcpAlternating:
     def test_planted_outliers_land_in_support(self):
         planted = [(1, 1, 9.0), (6, 2, -8.0), (10, 7, 7.5)]
         _, prob = make_problem(64, n1=14, n2=12, noise=0.02, outliers=planted)
-        gamma = svd(prob.values).singular_values[0] * 0.15
+        gamma = svd(prob.values)[1][0] * 0.15
         c = 0.5  # outliers are >= 10c, noise <= c/10
         _, _, sparse = solve_pair(prob, gamma, c, epsilon=1e-10)
         for i, j, _ in planted:

@@ -19,11 +19,9 @@ from robustmc import (
     Solution,
     SolverConfig,
     SvdError,
-    SvdFactors,
     SyntheticSpec,
     generate_synthetic,
     nuclear_norm,
-    project,
     soft_impute,
     soft_impute_path,
     svd,
@@ -38,31 +36,18 @@ from oracles import gram_singular_values, partial_svd_oracle, prox_objective, pr
 
 
 def checkerboard_mask():
-    return ObservationMask.from_pairs(2, 2, [(0, 1), (1, 0)])
-
-
-def complement(mask):
-    """The unobserved positions, as a mask of their own."""
-    return ObservationMask(~mask.flags)
+    return ObservationMask(np.array([[False, True], [True, False]]))
 
 
 class TestObservationMask:
-    def test_from_pairs_and_counts(self):
+    def test_counts(self):
         mask = checkerboard_mask()
         assert mask.n_observed == 2
         assert mask.flags.tolist() == [[False, True], [True, False]]
         assert mask.fraction_observed == 0.5
 
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(DataValidationError):
-            ObservationMask.from_pairs(2, 2, [(2, 0)])
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DataValidationError):
-            ObservationMask.from_pairs(2, 2, [(0, 0), (0, 0)])
-
     def test_flags_are_read_only(self):
-        mask = ObservationMask.full(2, 3)
+        mask = ObservationMask(np.ones((2, 3), dtype=bool))
         with pytest.raises(ValueError):
             mask.flags[0, 0] = False
 
@@ -78,7 +63,6 @@ def test_value_types_compare_and_hash():
     make = {
         ObservationMask: lambda: ObservationMask(flags),
         Problem: lambda: Problem(v.copy(), prob.mask),
-        SvdFactors: lambda: svd(v),
         Solution: lambda: soft_impute(prob, 1.0),
         PathSolution: lambda: soft_impute_path(prob, config),
         GroundTruthInstance: lambda: generate_synthetic(spec),
@@ -92,6 +76,23 @@ def test_value_types_compare_and_hash():
     mask = ObservationMask(np.eye(2, dtype=bool))
     assert hash(mask) == hash(ObservationMask(np.eye(2, dtype=bool)))
     assert mask != ObservationMask(np.eye(2, dtype=bool).reshape(1, 4))
+
+
+def test_public_surface():
+    # an addition to or a removal from the package's names is a deliberate edit here
+    assert sorted(robustmc.__all__) == [
+        "BenchResult", "CertificateReport", "DataValidationError", "DegradationSpec",
+        "DimensionMismatchError", "GroundTruthInstance", "HuberParams", "MissingSpec",
+        "ObservationMask", "PathRecord", "PathSolution", "Problem", "RankSummary",
+        "RobustMcError", "Solution", "SolverConfig", "SvdError", "SyntheticSpec",
+        "choose_cutoff", "default_gamma_path", "degrade_image", "errors", "experiments",
+        "extract_sparse", "general_robust", "generate_synthetic", "huber", "huber_norm_sq",
+        "matcore", "nuclear_norm", "objective_f", "objective_g", "objective_pcp",
+        "pseudo_data", "psi", "replicate_seed", "rho", "robust_impute", "run_benchmark",
+        "run_study", "score_path", "soft_impute", "soft_impute_path", "soft_threshold_scalar",
+        "solve_path", "solvers", "stationarity_certificate", "svd", "svd_soft_threshold",
+        "test_error", "training_error",
+    ]
 
 
 class TestProblem:
@@ -115,63 +116,13 @@ class TestProblem:
     def test_non_finite_rejected(self):
         vals = np.array([[np.nan, 1.0], [1.0, 0.0]])
         with pytest.raises(DataValidationError):
-            Problem.from_full(vals, ObservationMask.full(2, 2))
-
-
-class TestProjection:
-    def test_full_mask_is_identity(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(project(m, ObservationMask.full(2, 3)), m)
-
-    def test_single_cell(self):
-        mask = ObservationMask.from_pairs(2, 2, [(0, 0)])
-        m = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert project(m, mask).tolist() == [[5.0, 0.0], [0.0, 0.0]]
-
-    def test_two_by_two_example(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        mask = checkerboard_mask()
-        assert project(m, mask).tolist() == [[0.0, 2.0], [3.0, 0.0]]
-        assert project(m, complement(mask)).tolist() == [[1.0, 0.0], [0.0, 4.0]]
-
-    def test_complement_of_full_mask_is_zero(self):
-        m = np.ones((3, 3))
-        assert not project(m, complement(ObservationMask.full(3, 3))).any()
-
-    def test_complement_of_zero_is_zero(self):
-        assert not project(np.zeros((2, 2)), complement(checkerboard_mask())).any()
-
-    def test_projections_sum_to_identity_exactly(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((7, 5))
-        mask = ObservationMask(rng.random((7, 5)) < 0.4)
-        assert np.array_equal(project(m, mask) + project(m, complement(mask)), m)
-
-    def test_idempotent_exactly(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((6, 6))
-        mask = ObservationMask(rng.random((6, 6)) < 0.5)
-        once = project(m, mask)
-        assert np.array_equal(project(once, mask), once)
-
-    def test_pythagoras(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            m = rng.standard_normal((8, 6))
-            mask = ObservationMask(rng.random((8, 6)) < rng.random())
-            inside, outside = project(m, mask), project(m, complement(mask))
-            split = np.sum(inside * inside) + np.sum(outside * outside)
-            assert split == pytest.approx(np.sum(m * m), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            project(np.zeros((2, 3)), checkerboard_mask())
+            Problem.from_full(vals, ObservationMask(np.ones((2, 2), dtype=bool)))
 
 
 class TestNorms:
     def test_frobenius_equals_singular_value_energy(self):
         m = np.random.default_rng(3).standard_normal((4, 4))
-        s = svd(m).singular_values
+        s = svd(m)[1]
         assert np.sum(m * m) == pytest.approx(float(np.sum(s * s)), rel=1e-10)
 
     def test_nuclear_diag(self):
@@ -194,27 +145,30 @@ class TestNorms:
 
 class TestSvd:
     def test_diag(self):
-        f = svd(np.diag([5.0, 2.0]))
-        assert np.allclose(f.singular_values, [5.0, 2.0])
+        assert np.allclose(svd(np.diag([5.0, 2.0]))[1], [5.0, 2.0])
 
     def test_zero_matrix_rank_zero(self):
-        f = svd(np.zeros((3, 4)))
-        assert f.rank == 0
-        assert f.compose().shape == (3, 4)
-        assert not f.compose().any()
+        u, s, vt = svd(np.zeros((3, 4)))
+        assert (u.shape, s.shape, vt.shape) == ((3, 0), (0,), (0, 4))
+        assert not ((u * s) @ vt).any() and ((u * s) @ vt).shape == (3, 4)
 
     def test_reconstruction(self):
         m = np.random.default_rng(5).standard_normal((8, 5))
-        f = svd(m)
-        resid = np.linalg.norm(f.compose() - m) / np.linalg.norm(m)
+        u, s, vt = svd(m)
+        resid = np.linalg.norm((u * s) @ vt - m) / np.linalg.norm(m)
         assert resid < 1e-8
 
     def test_orthonormal_factors(self):
         m = np.random.default_rng(6).standard_normal((7, 4))
-        f = svd(m)
-        assert np.allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-8)
-        assert np.allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-8)
-        assert np.all(np.diff(f.singular_values) <= 0)
+        u, s, vt = svd(m)
+        assert np.allclose(u.T @ u, np.eye(s.size), atol=1e-8)
+        assert np.allclose(vt @ vt.T, np.eye(s.size), atol=1e-8)
+        assert np.all(np.diff(s) <= 0)
+
+    def test_factors_are_the_raw_triplet(self):
+        m = np.random.default_rng(7).standard_normal((6, 9))
+        for got, want in zip(svd(m), np.linalg.svd(m, full_matrices=False)):
+            assert np.array_equal(got, want)
 
 
 def _fail_svd(*args, **kwargs):

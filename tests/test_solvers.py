@@ -27,7 +27,8 @@ from robustmc.matcore import nuclear_norm
 
 from robustmc import solvers
 
-from oracles import completion_oracle, completion_objective, dense_reference_path
+from oracles import (certificate_oracle, completion_oracle, completion_objective,
+                     dense_reference_path)
 
 
 def make_instance(seed, n1=12, n2=10, rank=2, noise=0.05, outlier_frac=0.0,
@@ -119,7 +120,7 @@ class TestDefaultGammaPath:
     def test_shape_and_anchors(self):
         _, prob = make_instance(21)
         path = default_gamma_path(prob)
-        sigma1 = svd(prob.values).singular_values[0]
+        sigma1 = svd(prob.values)[1][0]
         assert len(path) == 20
         assert path[0] == pytest.approx(0.95 * sigma1, rel=1e-12)
         assert path[-1] == pytest.approx(0.01 * sigma1, rel=1e-12)
@@ -127,13 +128,13 @@ class TestDefaultGammaPath:
 
     def test_top_gamma_collapses_to_zero(self):
         _, prob = make_instance(22)
-        sigma1 = svd(prob.values).singular_values[0]
+        sigma1 = svd(prob.values)[1][0]
         assert not svd_soft_threshold(prob.values, sigma1 * 1.0001).any()
 
 
 class TestObjectives:
     def test_f_zero_at_perfect_fit(self):
-        mask = ObservationMask.full(2, 2)
+        mask = ObservationMask(np.ones((2, 2), dtype=bool))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         prob = Problem.from_full(x, mask)
         assert objective_f(prob, x, 0.0) == 0.0
@@ -151,7 +152,7 @@ class TestObjectives:
         )
 
     def test_g_zero_when_everything_zero(self):
-        prob = Problem.from_full(np.zeros((3, 3)), ObservationMask.full(3, 3))
+        prob = Problem.from_full(np.zeros((3, 3)), ObservationMask(np.ones((3, 3), dtype=bool)))
         assert objective_g(prob, np.zeros((3, 3)), 1.0, 1.0) == 0.0
 
     def test_g_never_exceeds_f(self):
@@ -166,14 +167,14 @@ class TestSoftImpute:
     def test_fully_observed_closed_form(self):
         rng = np.random.default_rng(27)
         x = rng.standard_normal((6, 6))
-        prob = Problem.from_full(x, ObservationMask.full(6, 6))
+        prob = Problem.from_full(x, ObservationMask(np.ones((6, 6), dtype=bool)))
         sol = soft_impute(prob, 0.8)
         assert np.allclose(sol.y_hat, svd_soft_threshold(x, 0.8), atol=1e-12)
         assert sol.converged
 
     def test_total_shrinkage_returns_zero(self):
         _, prob = make_instance(28)
-        gamma = svd(prob.values).singular_values[0] * 1.1
+        gamma = svd(prob.values)[1][0] * 1.1
         sol = soft_impute(prob, gamma)
         assert not sol.y_hat.any()
         assert sol.converged
@@ -210,13 +211,13 @@ class TestSoftImpute:
     def test_final_rank_matches_recomputation(self):
         _, prob = make_instance(32)
         sol = soft_impute(prob, 1.2)
-        s = svd(sol.y_hat).singular_values
+        s = svd(sol.y_hat)[1]
         expected = int(np.sum(s > 1e-8 * s[0])) if s.size else 0
         assert sol.final_rank == expected
 
     def test_single_observed_entry(self):
         prob = Problem(np.array([[0.0, 0.0], [0.0, 3.0]]),
-                       ObservationMask.from_pairs(2, 2, [(1, 1)]))
+                       ObservationMask(np.array([[False, False], [False, True]])))
         sol = soft_impute(prob, 0.5)
         assert sol.converged
         assert np.linalg.matrix_rank(sol.y_hat) <= 1
@@ -262,7 +263,7 @@ class TestGeneralRobust:
 
     def test_agrees_with_robust_impute(self):
         _, prob = make_instance(36, n1=10, n2=10, outlier_frac=0.02)
-        gamma = 0.6 * svd(prob.values).singular_values[0] * 0.5
+        gamma = 0.6 * svd(prob.values)[1][0] * 0.5
         c = choose_cutoff(gamma, 10, 10, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12,
                            max_inner_iters=5000)
@@ -287,7 +288,7 @@ class TestGeneralRobust:
 class TestRobustImpute:
     def test_huge_gamma_gives_zero_path(self):
         _, prob = make_instance(38)
-        gamma = svd(prob.values).singular_values[0] * 2
+        gamma = svd(prob.values)[1][0] * 2
         path = robust_impute(prob, SolverConfig(gamma_path=(gamma,)))
         assert len(path) == 1
         assert not path[0].y_hat.any()
@@ -333,7 +334,7 @@ class TestRobustImpute:
 
     def test_single_observed_entry(self):
         prob = Problem(np.array([[0.0, 0.0], [0.0, 3.0]]),
-                       ObservationMask.from_pairs(2, 2, [(1, 1)]))
+                       ObservationMask(np.array([[False, False], [False, True]])))
         path = robust_impute(prob, SolverConfig(gamma_path=(1.0, 0.2)))
         assert all(s.converged for s in path)
         assert all(np.linalg.matrix_rank(s.y_hat) <= 1 for s in path)
@@ -342,7 +343,7 @@ class TestRobustImpute:
         # the two robust solvers land within 10*sqrt(eps) of each other
         eps = 1e-8
         _, prob = make_instance(43, outlier_frac=0.05)
-        gamma = svd(prob.values).singular_values[0] * 0.2
+        gamma = svd(prob.values)[1][0] * 0.2
         c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=eps,
                            max_inner_iters=5000)
@@ -435,7 +436,7 @@ class TestStageKernel:
 
     def test_large_robust_path_matches_the_dense_path(self, monkeypatch):
         _, prob = make_instance(52, n1=240, n2=240, rank=5, outlier_frac=0.05)
-        s1 = float(svd(prob.values).singular_values[0])
+        s1 = float(svd(prob.values)[1][0])
         cfg = SolverConfig(gamma_path=tuple(np.geomspace(0.95 * s1, 0.05 * s1, 5).tolist()))
         path = robust_impute(prob, cfg)
         monkeypatch.setattr(matcore, "PARTIAL_MIN_SIDE", 10 ** 9)
@@ -584,7 +585,7 @@ class TestObjectiveOverflow:
 class TestStationarityCertificate:
     def test_passes_at_converged_solution(self):
         _, prob = make_instance(44, outlier_frac=0.1)
-        gamma = svd(prob.values).singular_values[0] * 0.15
+        gamma = svd(prob.values)[1][0] * 0.15
         c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         sol = robust_impute(prob, cfg)[0]
@@ -607,11 +608,27 @@ class TestStationarityCertificate:
 
     def test_zero_solution_certificate(self):
         _, prob = make_instance(46)
-        gamma = svd(prob.values).singular_values[0] * 2
+        gamma = svd(prob.values)[1][0] * 2
         c = float(np.abs(prob.values).max()) + 1
         cert = stationarity_certificate(prob, np.zeros(prob.shape), gamma, c)
         assert cert.rank == 0
         assert cert.passes(1e-3)
+
+
+    @pytest.mark.parametrize("seed", [47, 48])
+    def test_numbers_match_the_factor_container_oracle_bit_for_bit(self, seed):
+        # the certificate reads numpy's triplet in place of copies of it, on
+        # operands of the same memory layout, so no number moves
+        _, prob = make_instance(seed, n1=40, n2=30, rank=3, outlier_frac=0.1)
+        path = robust_impute(prob, SolverConfig(gamma_count=6))
+        stages = [sol for sol in path if sol.converged and sol.final_rank > 0]
+        assert len(stages) >= 3
+        zero = np.zeros(prob.shape)
+        for y, gamma, c in [(sol.y_hat, sol.gamma, sol.cutoff) for sol in stages] + [
+                (zero, stages[0].gamma, stages[0].cutoff)]:
+            cert = stationarity_certificate(prob, y, gamma, c)
+            got = (cert.tangent_gap, cert.orthogonal_norm, cert.rank)
+            assert got == certificate_oracle(prob, y, gamma, c)
 
 
 def influence_moves(seed):

@@ -51,6 +51,15 @@ class TestObservationMask:
         with pytest.raises(ValueError):
             mask.flags[0, 0] = False
 
+    def test_non_boolean_flags_rejected(self):
+        with pytest.raises(DataValidationError, match="boolean"):
+            ObservationMask(np.array([[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (0, 3), (3, 0)])
+    def test_shape_must_be_2d_and_nonempty(self, shape):
+        with pytest.raises(DataValidationError, match="2-D with positive dimensions"):
+            ObservationMask(np.ones(shape, dtype=bool))
+
 
 def test_value_types_compare_and_hash():
     # two distinct instances with equal values of each type holding arrays:
@@ -117,6 +126,64 @@ class TestProblem:
         vals = np.array([[np.nan, 1.0], [1.0, 0.0]])
         with pytest.raises(DataValidationError):
             Problem.from_full(vals, ObservationMask(np.ones((2, 2), dtype=bool)))
+
+
+def complement(mask):
+    """The unobserved positions, as a mask of their own."""
+    return ObservationMask(~mask.flags)
+
+
+def projected(m, mask):
+    """``m`` kept on ``mask`` and zeroed elsewhere, by `Problem.from_full`."""
+    return Problem.from_full(m, mask).values
+
+
+class TestProjection:
+    def test_full_mask_is_identity(self):
+        m = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(projected(m, ObservationMask(np.ones((2, 3), dtype=bool))), m)
+
+    def test_single_cell(self):
+        mask = ObservationMask(np.array([[True, False], [False, False]]))
+        m = np.array([[5.0, 6.0], [7.0, 8.0]])
+        assert projected(m, mask).tolist() == [[5.0, 0.0], [0.0, 0.0]]
+
+    def test_two_by_two_example(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mask = checkerboard_mask()
+        assert projected(m, mask).tolist() == [[0.0, 2.0], [3.0, 0.0]]
+        assert projected(m, complement(mask)).tolist() == [[1.0, 0.0], [0.0, 4.0]]
+
+    def test_complement_of_zero_is_zero(self):
+        assert not projected(np.zeros((2, 2)), complement(checkerboard_mask())).any()
+
+    def test_projections_sum_to_identity_exactly(self):
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((7, 5))
+        mask = ObservationMask(rng.random((7, 5)) < 0.4)
+        assert np.array_equal(projected(m, mask) + projected(m, complement(mask)), m)
+
+    def test_idempotent_exactly(self):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((6, 6))
+        mask = ObservationMask(rng.random((6, 6)) < 0.5)
+        once = projected(m, mask)
+        assert np.array_equal(projected(once, mask), once)
+
+    def test_pythagoras(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            m = rng.standard_normal((8, 6))
+            flags = rng.random((8, 6)) < rng.random()
+            flags[0, 0], flags[0, 1] = True, False  # neither side is empty
+            mask = ObservationMask(flags)
+            inside, outside = projected(m, mask), projected(m, complement(mask))
+            split = np.sum(inside * inside) + np.sum(outside * outside)
+            assert split == pytest.approx(np.sum(m * m), rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"x shape \(2, 3\)"):
+            projected(np.zeros((2, 3)), checkerboard_mask())
 
 
 class TestNorms:

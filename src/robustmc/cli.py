@@ -36,6 +36,7 @@ import scipy
 from . import __version__
 from .errors import DataValidationError, RobustMcError
 from .experiments import (
+    METHODS,
     THREAD_VARIABLES,
     DegradationSpec,
     MissingSpec,
@@ -85,14 +86,14 @@ def _add_solver_flags(p, include_no_robust=False, include_method=False):
                    help="single regularization weight (overrides the path flags)")
     p.add_argument("--gamma-path", default=None, metavar="G1,G2,...",
                    help="explicit strictly decreasing weights")
-    p.add_argument("--gamma-count", type=int, default=20,
-                   help="points on the auto log-spaced path (default 20)")
+    p.add_argument("--gamma-count", type=int, default=SolverConfig.gamma_count,
+                   help="points on the auto log-spaced path (default %(default)s)")
     p.add_argument("--c", dest="cutoff", type=float, default=None,
                    help="Huber cutoff; default: gamma / sqrt(max(n1,n2) * observed fraction)")
-    p.add_argument("--tol", type=float, default=1e-5,
-                   help="relative-change stopping tolerance (default 1e-5)")
-    p.add_argument("--max-iters", type=int, default=500,
-                   help="iteration cap per gamma (default 500)")
+    p.add_argument("--tol", type=float, default=SolverConfig.epsilon,
+                   help="relative-change stopping tolerance (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_inner_iters,
+                   help="iteration cap per gamma (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out-dir", default=".", help="output directory (default .)")
     p.add_argument("--allow-nonconverged", action="store_true",
@@ -101,7 +102,7 @@ def _add_solver_flags(p, include_no_robust=False, include_method=False):
         p.add_argument("--no-robust", action="store_true",
                        help="plain squared-loss completion instead of the Huber solver")
     if include_method:
-        p.add_argument("--method", choices=("robust", "soft", "both"), default="both")
+        p.add_argument("--method", choices=(*METHODS, "both"), default="both")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +207,7 @@ def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir, command, args, extra=None):
+def _write_manifest(command, args, extra=None):
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
@@ -225,12 +226,7 @@ def _write_manifest(out_dir, command, args, extra=None):
     }
     if extra:
         payload.update(extra)
-    _write_json(os.path.join(out_dir, "manifest.json"), payload)
-
-
-def _ensure_out_dir(args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
+    _write_json(os.path.join(args.out_dir, "manifest.json"), payload)
 
 
 def _convergence_exit(args, ok) -> int:
@@ -244,50 +240,43 @@ def _convergence_exit(args, ok) -> int:
 def cmd_complete(args) -> int:
     method = "soft" if args.no_robust else "robust"
     config = _solver_config(args)
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     _, path = _solve_input(args, method, config)
-    write_matrix_csv(os.path.join(out_dir, "completed.csv"), path[-1].y_hat)
-    _write_json(os.path.join(out_dir, "diagnostics.json"), {
+    write_matrix_csv(os.path.join(args.out_dir, "completed.csv"), path[-1].y_hat)
+    _write_json(os.path.join(args.out_dir, "diagnostics.json"), {
         "input": args.input,
         "entries": _diagnostics_entries(method, path),
     })
-    _write_manifest(out_dir, "complete", args,
+    _write_manifest("complete", args,
                     extra={"resolved_gamma_path": list(path.gammas)})
     return _convergence_exit(args, path.all_converged)
 
 
 def cmd_outliers(args) -> int:
     config = _solver_config(args)
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     problem, path = _solve_input(args, "robust", config)
     sol = path[-1]
     s_hat = extract_sparse(problem, sol.y_hat, sol.cutoff)
-    write_matrix_csv(os.path.join(out_dir, "outliers.csv"), s_hat)
+    write_matrix_csv(os.path.join(args.out_dir, "outliers.csv"), s_hat)
     rows, cols = np.nonzero(s_hat)
     entries = sorted(
         ((int(i), int(j), float(s_hat[i, j])) for i, j in zip(rows, cols)),
         key=lambda t: (-abs(t[2]), t[0], t[1]),
     )
     lines = ["row,col,value"] + [f"{i},{j},{v!r}" for i, j, v in entries]
-    atomic_write_text(os.path.join(out_dir, "outlier_locations.csv"), "\n".join(lines) + "\n")
-    _write_json(os.path.join(out_dir, "diagnostics.json"), {
+    atomic_write_text(os.path.join(args.out_dir, "outlier_locations.csv"),
+                      "\n".join(lines) + "\n")
+    _write_json(os.path.join(args.out_dir, "diagnostics.json"), {
         "input": args.input,
         "gamma": sol.gamma,
         "c": sol.cutoff,
         "flagged": len(entries),
         "entries": _diagnostics_entries("robust", path),
     })
-    _write_manifest(out_dir, "outliers", args,
+    _write_manifest("outliers", args,
                     extra={"resolved_gamma_path": list(path.gammas)})
     return _convergence_exit(args, path.all_converged)
-
-
-def _methods_from(args):
-    return ("robust", "soft") if args.method == "both" else (args.method,)
-
-
-def _format_float(v) -> str:
-    return repr(float(v))
 
 
 def cmd_simulate(args) -> int:
@@ -295,23 +284,23 @@ def cmd_simulate(args) -> int:
         raise _UsageError("simulate derives a gamma path per replicate; "
                           "set its length with --gamma-count")
     config = _solver_config(args)
-    methods = _methods_from(args)
+    methods = METHODS if args.method == "both" else (args.method,)
     with _flag_values():
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
                              args.outlier_prob, args.missing_prob, seed=0)
         # run_study owns the replicate-count rule; with no settings it only checks
         run_study([], methods, args.replicates, config)
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     results = run_benchmark([spec], methods, args.replicates, args.seed, config)
     lines = [BENCH_CSV_HEADER]
     for res in results:
         for rec in res.records:
             lines.append(",".join([
                 res.setting_id, str(rec.replicate), res.method, str(rec.gamma_index),
-                str(rec.fitted_rank), _format_float(rec.training_error),
-                _format_float(rec.test_error), str(rec.svd_count),
+                str(rec.fitted_rank), repr(float(rec.training_error)),
+                repr(float(rec.test_error)), str(rec.svd_count),
             ]))
-    atomic_write_text(os.path.join(out_dir, "results.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(args.out_dir, "results.csv"), "\n".join(lines) + "\n")
     summary = [{
         "setting": res.setting_id,
         "method": res.method,
@@ -320,8 +309,8 @@ def cmd_simulate(args) -> int:
         "per_rank": [dataclasses.asdict(s) for s in res.rank_summaries()],
         "failures": [list(f) for f in res.failures],
     } for res in results]
-    _write_json(os.path.join(out_dir, "results.json"), {"settings": summary})
-    _write_manifest(out_dir, "simulate", args)
+    _write_json(os.path.join(args.out_dir, "results.json"), {"settings": summary})
+    _write_manifest("simulate", args)
     if any(res.failures for res in results):
         sys.stderr.write("robustmc: some replicates failed; see results.json\n")
         return 2
@@ -329,7 +318,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_inpaint(args) -> int:
-    methods = _methods_from(args)
+    methods = METHODS if args.method == "both" else (args.method,)
     config = _solver_config(args)
     with _flag_values():
         run_study([], methods, args.replicates, config)
@@ -348,7 +337,7 @@ def cmd_inpaint(args) -> int:
         raise _UsageError(f"--ranks: cannot parse {args.ranks!r}") from None
     if any(r < 0 for r in ranks):
         raise _UsageError(f"--ranks: ranks must be nonnegative, got {args.ranks!r}")
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     img = read_pgm(args.image)
     results, first, recovered = run_study(
         [(args.image, lambda rep: degrade_image(img, noise, missing,
@@ -357,16 +346,16 @@ def cmd_inpaint(args) -> int:
     failures = [f for res in results for f in res.failures]
     if failures:  # the first in solve order: replicate, then method
         raise RobustMcError(min(failures, key=lambda f: f[0])[1])
-    write_pgm(os.path.join(out_dir, "degraded.pgm"), np.where(first.mask.flags, first.x, 0.0))
+    write_pgm(os.path.join(args.out_dir, "degraded.pgm"), np.where(first.mask.flags, first.x, 0.0))
     for m, y in recovered.items():
-        write_pgm(os.path.join(out_dir, f"recovered_{m}.pgm"), y)
+        write_pgm(os.path.join(args.out_dir, f"recovered_{m}.pgm"), y)
     # errors.json leaves out each summary's rank and its SVD count's standard error
     cells = {m: {s.rank: {k: v for k, v in dataclasses.asdict(s).items()
                           if k not in ("rank", "se_svd_count")}
                  for s in res.rank_summaries()} for m, res in zip(methods, results)}
     table = [{"rank": rank, "methods": {m: cells[m].get(rank) for m in methods}}
              for rank in ranks]
-    _write_json(os.path.join(out_dir, "errors.json"), {
+    _write_json(os.path.join(args.out_dir, "errors.json"), {
         "image": args.image,
         "mechanism": missing.mode,
         "missing_rate": missing.rate,
@@ -377,7 +366,7 @@ def cmd_inpaint(args) -> int:
         "ranks": table,
         "mean_best_test_error": {res.method: res.mean_best_test_error for res in results},
     })
-    _write_manifest(out_dir, "inpaint", args)
+    _write_manifest("inpaint", args)
     return _convergence_exit(args, all(r.converged for res in results for r in res.records))
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, RobustMcError
+from .errors import DataValidationError, DimensionMismatchError, RobustMcError
 from .matcore import ObservationMask, Problem, _frozen, as_matrix
 from .solvers import (
     PathSolution,
@@ -69,32 +69,35 @@ class GroundTruthInstance:
     """A contaminated instance together with everything needed to score it.
 
     Among the observed entries, `outlier_set` marks the grossly corrupted
-    positions and `clean_observed_set` the merely noisy rest; training
-    error is scored on the latter, test error on the unobserved entries (on
-    all entries when none is unobserved) against the clean target.
+    positions and `clean_observed_set`, derived from the mask and the
+    outlier set, the merely noisy rest; training error is scored on the
+    latter, test error on the unobserved entries (on all entries when none
+    is unobserved) against the clean target.
     """
 
     x0: np.ndarray
     x: np.ndarray
     mask: ObservationMask
     outlier_set: ObservationMask
-    clean_observed_set: ObservationMask
     sigma: float
 
     def __post_init__(self):
         x0 = as_matrix(self.x0, "x0", self.mask.shape)
         x = as_matrix(self.x, "x", self.mask.shape)
-        both = self.outlier_set.flags & self.clean_observed_set.flags
-        union = self.outlier_set.flags | self.clean_observed_set.flags
-        if both.any() or not np.array_equal(union, self.mask.flags):
-            raise DataValidationError(
-                "outlier_set and clean_observed_set must partition the observed set"
-            )
+        if self.outlier_set.shape != self.mask.shape:
+            raise DimensionMismatchError(
+                f"outlier_set shape {self.outlier_set.shape} != mask shape {self.mask.shape}")
+        if (self.outlier_set.flags & ~self.mask.flags).any():
+            raise DataValidationError("outlier_set must lie within the observed set")
         object.__setattr__(self, "x0", _frozen(x0))
         object.__setattr__(self, "x", _frozen(x))
 
     def problem(self) -> Problem:
         return Problem.from_full(self.x, self.mask)
+
+    @cached_property
+    def clean_observed_set(self) -> ObservationMask:
+        return ObservationMask(self.mask.flags & ~self.outlier_set.flags)
 
     @cached_property
     def _energies(self) -> dict:
@@ -194,9 +197,7 @@ def generate_synthetic(spec: SyntheticSpec) -> GroundTruthInstance:
 def _instance(x0, x, observed, outliers, sigma) -> GroundTruthInstance:
     """The instance whose outlier set is the observed part of ``outliers``."""
     return GroundTruthInstance(x0=x0, x=x, mask=ObservationMask(observed),
-                               outlier_set=ObservationMask(outliers & observed),
-                               clean_observed_set=ObservationMask(observed & ~outliers),
-                               sigma=sigma)
+                               outlier_set=ObservationMask(outliers & observed), sigma=sigma)
 
 
 def _relative_error(instance, y_hat, target, flags, entries: str) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, DimensionMismatchError
+from .matcore import Problem
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,12 @@ def pseudo_data(x_obs, y_cur, c: float) -> np.ndarray:
     return np.where(e > c, y_cur + c, np.where(e < -c, y_cur - c, x_obs))
 
 
-def choose_cutoff(gamma: float, n_rows: int, n_cols: int, observed_fraction: float) -> float:
+def choose_cutoff(problem: Problem, gamma: float) -> float:
     """Cutoff rule tied to the regularization weight.
 
-    c = gamma / sqrt(max(n_rows, n_cols) * observed_fraction).  Scales
-    linearly in gamma, so a gamma path with auto cutoffs keeps the ratio
-    c/gamma fixed for a given problem size and sampling rate.
+    c = gamma / sqrt(max(n1, n2) * observed fraction) for the n1 x n2
+    ``problem``.  Scales linearly in gamma, so a gamma path with auto cutoffs
+    keeps the ratio c/gamma fixed for a given problem size and sampling rate.
     """
-    if n_rows < 1 or n_cols < 1:
-        raise DataValidationError(f"dimensions must be positive, got {n_rows}x{n_cols}")
-    if not (0.0 < observed_fraction <= 1.0):
-        raise DataValidationError(
-            f"observed_fraction must be in (0, 1], got {observed_fraction}"
-        )
-    return HuberParams(float(gamma) / np.sqrt(max(n_rows, n_cols) * observed_fraction)).c
+    scale = max(problem.shape) * problem.mask.fraction_observed
+    return HuberParams(float(gamma) / np.sqrt(scale)).c

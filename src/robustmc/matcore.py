@@ -75,14 +75,6 @@ class ObservationMask:
         return self._flags.shape
 
     @property
-    def n_rows(self) -> int:
-        return self._flags.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self._flags.shape[1]
-
-    @property
     def n_observed(self) -> int:
         return int(self._flags.sum())
 
@@ -99,7 +91,7 @@ class ObservationMask:
         return hash((self.shape, self._flags.tobytes()))
 
     def __repr__(self):
-        return f"ObservationMask({self.n_rows}x{self.n_cols}, observed={self.n_observed})"
+        return f"ObservationMask({self.shape[0]}x{self.shape[1]}, observed={self.n_observed})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +117,6 @@ class Problem:
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def observed_fraction(self) -> float:
-        return self.mask.fraction_observed
 
 
 # The shrinkage step tries a partial SVD only on matrices whose shorter side
@@ -325,11 +305,7 @@ def _raw_svd(m: np.ndarray, gamma=None, rank: int = 0):
 
 def nuclear_norm(m) -> float:
     """Sum of singular values."""
-    m = as_matrix(m)
-    if not m.any():
-        return 0.0
-    _, s, _ = _raw_svd(m)
-    return float(s.sum())
+    return float(svd(m)[1].sum())
 
 
 def svd(m):
@@ -364,9 +340,7 @@ def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     shrunk = np.maximum(s - gamma, 0.0)
     if gamma == 0.0:
         return np.array(m, dtype=float, copy=True), shrunk
-    keep = shrunk > 0.0
-    if not keep.any():
-        return np.zeros_like(m, dtype=float), shrunk
+    keep = shrunk > 0.0  # none kept: the empty product is +0.0 zeros, C-ordered
     out = (u[:, keep] * shrunk[keep]) @ vt[keep]
     return out, shrunk
 

@@ -42,12 +42,8 @@ def _atomic_write(path, chunks):
         raise
 
 
-def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, (data,))
-
-
 def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, (text.encode("utf-8"),))
 
 
 def _bad_cell(path, r, fields):
@@ -73,7 +69,7 @@ def read_matrix_csv(path, header: bool = False) -> Problem:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise DataValidationError(
             f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}"
@@ -177,4 +173,4 @@ def write_pgm(path, img):
     pixels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + pixels.tobytes())
+    _atomic_write(path, (header, pixels.tobytes()))

@@ -214,10 +214,10 @@ def _observed_residual(problem: Problem, y):
 def _cutoff(config, problem, gamma):
     if config.cutoff is not None:
         return config.cutoff
-    return choose_cutoff(gamma, problem.n_rows, problem.n_cols, problem.observed_fraction)
+    return choose_cutoff(problem, gamma)
 
 
-def default_gamma_path(problem: Problem, count: int = 20) -> tuple:
+def default_gamma_path(problem: Problem, count: int = SolverConfig.gamma_count) -> tuple:
     """Log-spaced gamma path from 0.95 down to 0.01 times sigma1, the largest
     singular value of the observed matrix: the smallest weight for which the
     squared-loss solution collapses to zero.  Not so for Huber loss, which is

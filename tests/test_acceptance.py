@@ -130,8 +130,7 @@ def test_criterion_4_stationarity_certificate(monotonicity_runs):
             if not sol.converged:
                 continue
             checked += 1
-            c = choose_cutoff(sol.gamma, prob.n_rows, prob.n_cols,
-                              prob.observed_fraction)
+            c = choose_cutoff(prob, sol.gamma)
             cert = stationarity_certificate(prob, sol.y_hat, sol.gamma, c)
             bound = 1e-3 * np.sqrt(cert.rank)
             gap_ok = cert.tangent_gap <= bound
@@ -155,7 +154,7 @@ def test_criterion_3_pcp_equivalence():
         prob = seeded_outlier_problem(2000 + seed, max_side=20, outlier_frac=0.1,
                                       outlier_scale=7.0)
         gamma = 0.15 * float(svd(prob.values)[1][0]) * (0.5 + 0.05 * seed)
-        c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
+        c = choose_cutoff(prob, gamma)
         y = robust_impute(prob, SolverConfig(gamma_path=(gamma,), cutoff=c,
                                              epsilon=1e-13, max_inner_iters=20000))[0]
         low = general_robust(prob, gamma, SolverConfig(

@@ -139,6 +139,16 @@ print(json.dumps({{"code": code, "partial": any(taken), "loaded": sorted(
         assert (out1 / "diagnostics.json").read_bytes() == (out2 / "diagnostics.json").read_bytes()
 
 
+    def test_byte_order_mark_completes_as_the_plain_file(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_fixture_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for src in (plain, marked):
+            assert main(["complete", str(src), "--out-dir", str(tmp_path / src.stem)]) == 0
+        completed = [(tmp_path / d / "completed.csv").read_bytes() for d in ("plain", "marked")]
+        assert completed[0] == completed[1]
+
+
 class TestOutliers:
     def test_clean_fixture_yields_empty_list(self, tmp_path):
         src = tmp_path / "in.csv"

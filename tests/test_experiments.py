@@ -45,7 +45,6 @@ def hand_instance():
         x=x,
         mask=ObservationMask(observed),
         outlier_set=ObservationMask(outliers),
-        clean_observed_set=ObservationMask(observed & ~outliers),
         sigma=0.5,
     )
 
@@ -92,6 +91,29 @@ class TestGenerateSynthetic:
         union = inst.outlier_set.flags | inst.clean_observed_set.flags
         assert np.array_equal(union, inst.mask.flags)
         assert not (inst.outlier_set.flags & inst.clean_observed_set.flags).any()
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_synthetic(SyntheticSpec(40, 30, 4, 1.0, 0.2, 0.3, 13)),
+        lambda: degrade_image(np.linspace(0.0, 1.0, 30 * 20).reshape(30, 20),
+                              DegradationSpec(3.0, 0.2, 0.75), MissingSpec.independent(0.3), 13),
+    ], ids=["synthetic", "image"])
+    def test_clean_set_is_the_mask_without_the_outliers(self, make):
+        inst = make()
+        clean = inst.clean_observed_set
+        assert clean == ObservationMask(inst.mask.flags & ~inst.outlier_set.flags)
+        assert 0 < inst.outlier_set.n_observed and 0 < clean.n_observed < inst.mask.n_observed
+        assert inst.clean_observed_set is clean  # derived once
+
+    def test_outlier_set_off_the_mask_rejected(self):
+        inst = hand_instance()
+        off = ObservationMask(inst.outlier_set.flags | ~inst.mask.flags)
+        with pytest.raises(DataValidationError, match="within the observed set"):
+            dataclasses.replace(inst, outlier_set=off)
+
+    def test_outlier_set_of_another_shape_rejected(self):
+        inst = hand_instance()
+        with pytest.raises(DimensionMismatchError, match="outlier_set shape"):
+            dataclasses.replace(inst, outlier_set=ObservationMask(np.zeros((3, 4), dtype=bool)))
 
     def test_deterministic(self):
         spec = SyntheticSpec(25, 25, 3, 1.0, 0.1, 0.5, 14)
@@ -162,11 +184,8 @@ class TestErrorMetrics:
 
     def test_empty_clean_set_rejected(self):
         inst = hand_instance()
-        broken = dataclasses.replace(
-            inst,
-            outlier_set=inst.mask,
-            clean_observed_set=ObservationMask(np.zeros((3, 3), dtype=bool)),
-        )
+        broken = dataclasses.replace(inst, outlier_set=inst.mask)
+        assert broken.clean_observed_set.n_observed == 0
         with pytest.raises(DataValidationError):
             training_error(broken, np.ones((3, 3)))
 

@@ -7,6 +7,7 @@ from robustmc import (
     DimensionMismatchError,
     HuberParams,
     ObservationMask,
+    Problem,
     SolverConfig,
     choose_cutoff,
     huber_norm_sq,
@@ -220,31 +221,28 @@ class TestSoftThresholdScalar:
             assert lhs == pytest.approx(0.5 * rho(x, c), abs=1e-12)
 
 
+def sampled(n1, n2, count):
+    """An n1 x n2 problem whose first ``count`` entries, in row-major order,
+    are observed: its observed fraction is exactly count / (n1 * n2)."""
+    flags = np.arange(n1 * n2).reshape(n1, n2) < count
+    return Problem(np.zeros((n1, n2)), ObservationMask(flags))
+
+
 class TestChooseCutoff:
     def test_reference_value(self):
-        assert choose_cutoff(1.0, 100, 100, 0.1) == pytest.approx(1 / np.sqrt(10), abs=1e-12)
+        prob = sampled(100, 100, 1000)
+        assert prob.mask.fraction_observed == 0.1
+        assert choose_cutoff(prob, 1.0) == pytest.approx(1 / np.sqrt(10), abs=1e-12)
 
     def test_linear_in_gamma(self):
-        assert choose_cutoff(2.0, 30, 20, 0.3) == pytest.approx(
-            2 * choose_cutoff(1.0, 30, 20, 0.3), rel=1e-14
-        )
+        prob = sampled(30, 20, 180)
+        assert prob.mask.fraction_observed == 0.3
+        assert choose_cutoff(prob, 2.0) == pytest.approx(2 * choose_cutoff(prob, 1.0), rel=1e-14)
 
     def test_fully_observed_small(self):
-        assert choose_cutoff(2.0, 4, 3, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_zero_fraction_rejected(self):
-        with pytest.raises(DataValidationError):
-            choose_cutoff(1.0, 10, 10, 0.0)
-
-    @pytest.mark.parametrize("args, message", [
-        ((1.0, 0, 10, 0.5), "dimensions must be positive"),
-        ((1.0, 10, 10, 1.5), "observed_fraction must be in"),
-    ])
-    def test_bad_shape_or_fraction_rejected(self, args, message):
-        with pytest.raises(DataValidationError, match=message):
-            choose_cutoff(*args)
+        assert choose_cutoff(sampled(4, 3, 12), 2.0) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(DataValidationError):
-            choose_cutoff(gamma, 10, 10, 0.5)
+            choose_cutoff(sampled(10, 10, 50), gamma)

@@ -80,7 +80,7 @@ class TestObjectivePcp:
     def test_part_of_other_shape_rejected(self, part):
         _, prob = make_problem(55)
         parts = {"low_rank": np.zeros(prob.shape), "sparse": np.zeros(prob.shape)}
-        parts[part] = np.zeros((prob.n_rows, prob.n_cols + 1))
+        parts[part] = np.zeros((prob.shape[0], prob.shape[1] + 1))
         with pytest.raises(DimensionMismatchError):
             objective_pcp(prob, parts["low_rank"], parts["sparse"], 1.0, 1.0)
 
@@ -158,7 +158,8 @@ class TestSolvePcpAlternating:
     def test_agrees_with_robust_impute(self):
         _, prob = make_problem(63, n1=15, n2=15, outliers=[(2, 2, 8.0), (9, 4, -9.0)])
         gamma = svd(prob.values)[1][0] * 0.2
-        c = choose_cutoff(gamma, 15, 15, prob.observed_fraction)
+        assert prob.shape == (15, 15)
+        c = choose_cutoff(prob, gamma)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         y = robust_impute(prob, cfg)[0].y_hat
         sol, low, sparse = solve_pair(prob, gamma, c, epsilon=1e-12)

@@ -204,6 +204,11 @@ class TestNorms:
         assert nuclear_norm(np.zeros((4, 2))) == 0.0
         assert nuclear_norm([[0.0, 1e-12], [0.0, 0.0]]) > 0.0
 
+    @pytest.mark.parametrize("m", [np.random.default_rng(8).standard_normal((5, 7)),
+                                   np.zeros((3, 2))], ids=["random", "zero"])
+    def test_nuclear_is_the_sum_of_svd_values(self, m):
+        assert nuclear_norm(m) == float(svd(m)[1].sum())
+
     def test_nuclear_matches_gram_eigenvalues(self):
         m = np.random.default_rng(4).standard_normal((6, 4))
         expected = float(gram_singular_values(m).sum())
@@ -669,6 +674,29 @@ class TestShrinkageOwnsItsResult:
         assert not np.shares_memory(out, m)
         m[...] = 7.0
         assert np.array_equal(out, kept)
+
+
+class TestTotalShrinkage:
+    """A gamma above the largest singular value keeps nothing, on each
+    branch: the result is +0.0 zeros of the input's shape, C-ordered, in
+    memory of its own, and ``shrunk`` holds the zeros that branch computes."""
+
+    @pytest.mark.parametrize("branch, size", [("lanczos", 1), ("gram", 1), ("lapack", 100)])
+    def test_gamma_above_s1_gives_owned_positive_zeros(self, monkeypatch, branch, size):
+        m = _low_rank_plus_noise(42, n=240 if branch == "lanczos" else 100)
+        gamma = 1.5 * np.linalg.svd(m, compute_uv=False)[0]
+        if branch == "lanczos":
+            monkeypatch.setattr(matcore, "_gram_svd", _no_gram)
+            _fail_full_svd(monkeypatch, m.shape)
+        elif branch == "gram":
+            _fail_full_svd(monkeypatch, m.shape)
+        else:
+            monkeypatch.setattr(matcore, "GRAM_RATIO", 0)
+        out, shrunk = shrink_singular_values(m, gamma)
+        assert out.shape == m.shape and out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert not out.any() and not np.signbit(out).any()
+        assert np.array_equal(shrunk, np.zeros(size))
 
 
 def _eigh_fails(*args, **kwargs):

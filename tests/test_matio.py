@@ -127,6 +127,15 @@ class TestMatrixCsv:
         with pytest.raises(DataValidationError, match=r"m\.csv: not UTF-8 .*byte offset 6"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.5\n", "1.5,NA\n,2.5\n"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text):
+        # spreadsheet "CSV UTF-8" exports begin with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        a, b = read_matrix_csv(plain), read_matrix_csv(marked)
+        assert np.array_equal(a.values, b.values) and a.mask == b.mask
+
     def test_format_without_mask_has_no_blanks(self, tmp_path):
         path = tmp_path / "m.csv"
         write_matrix_csv(path, np.array([[1.0, -2.5]]))

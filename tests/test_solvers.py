@@ -264,7 +264,8 @@ class TestGeneralRobust:
     def test_agrees_with_robust_impute(self):
         _, prob = make_instance(36, n1=10, n2=10, outlier_frac=0.02)
         gamma = 0.6 * svd(prob.values)[1][0] * 0.5
-        c = choose_cutoff(gamma, 10, 10, prob.observed_fraction)
+        assert prob.shape == (10, 10)
+        c = choose_cutoff(prob, gamma)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12,
                            max_inner_iters=5000)
         a = general_robust(prob, gamma, cfg)
@@ -344,7 +345,7 @@ class TestRobustImpute:
         eps = 1e-8
         _, prob = make_instance(43, outlier_frac=0.05)
         gamma = svd(prob.values)[1][0] * 0.2
-        c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
+        c = choose_cutoff(prob, gamma)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=eps,
                            max_inner_iters=5000)
         a = general_robust(prob, gamma, cfg)
@@ -464,8 +465,7 @@ class TestStageKernel:
         _, prob = make_instance(49, outlier_frac=0.1)
         gammas = default_gamma_path(prob, 6)
         auto = robust_impute(prob, SolverConfig(gamma_path=gammas))
-        assert [s.cutoff for s in auto] == [
-            choose_cutoff(g, prob.n_rows, prob.n_cols, prob.observed_fraction) for g in gammas]
+        assert [s.cutoff for s in auto] == [choose_cutoff(prob, g) for g in gammas]
         fixed = robust_impute(prob, SolverConfig(gamma_path=gammas, cutoff=0.3))
         assert all(s.cutoff == 0.3 for s in fixed)
         assert general_robust(prob, gammas[2], SolverConfig(cutoff=0.3)).cutoff == 0.3
@@ -485,7 +485,8 @@ class TestObservedEntryKernel:
         gammas = cfg.gamma_path
         if robust:
             path = robust_impute(prob, cfg)
-            cutoffs = [choose_cutoff(g, n, n, prob.observed_fraction) for g in gammas]
+            assert prob.shape == (n, n)
+            cutoffs = [choose_cutoff(prob, g) for g in gammas]
         else:
             path = soft_impute_path(prob, cfg)
             cutoffs = [None] * len(gammas)
@@ -586,7 +587,7 @@ class TestStationarityCertificate:
     def test_passes_at_converged_solution(self):
         _, prob = make_instance(44, outlier_frac=0.1)
         gamma = svd(prob.values)[1][0] * 0.15
-        c = choose_cutoff(gamma, prob.n_rows, prob.n_cols, prob.observed_fraction)
+        c = choose_cutoff(prob, gamma)
         cfg = SolverConfig(gamma_path=(gamma,), cutoff=c, epsilon=1e-12, max_inner_iters=8000)
         sol = robust_impute(prob, cfg)[0]
         assert sol.converged

@@ -9,8 +9,8 @@ build and thread variables), which is sufficient to reproduce the outputs exactl
 
 Flag values are checked before any input is read, by building the library
 types they describe (SolverConfig, SyntheticSpec, MissingSpec,
-DegradationSpec); every value rejected there, or by the few rules only the
-CLI has, is a usage error.
+DegradationSpec) and by `check_study`; every value rejected there, or by
+the few rules only the CLI has, is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable or
 non-UTF-8 input, an observed matrix that is all zero, a flat image, an
@@ -41,6 +41,7 @@ from .experiments import (
     DegradationSpec,
     MissingSpec,
     SyntheticSpec,
+    check_study,
     degrade_image,
     replicate_seed,
     run_benchmark,
@@ -94,7 +95,6 @@ def _add_solver_flags(p, include_no_robust=False, include_method=False):
                    help="relative-change stopping tolerance (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_inner_iters,
                    help="iteration cap per gamma (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out-dir", default=".", help="output directory (default .)")
     p.add_argument("--allow-nonconverged", action="store_true",
                    help="exit 0 even when some solve hit the iteration cap")
@@ -103,6 +103,7 @@ def _add_solver_flags(p, include_no_robust=False, include_method=False):
                        help="plain squared-loss completion instead of the Huber solver")
     if include_method:
         p.add_argument("--method", choices=(*METHODS, "both"), default="both")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,21 +289,20 @@ def cmd_simulate(args) -> int:
     with _flag_values():
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
                              args.outlier_prob, args.missing_prob, seed=0)
-        # run_study owns the replicate-count rule; with no settings it only checks
-        run_study([], methods, args.replicates, config)
+        check_study(methods, args.replicates)
     os.makedirs(args.out_dir, exist_ok=True)
-    results = run_benchmark([spec], methods, args.replicates, args.seed, config)
+    results = run_benchmark(spec, methods, args.replicates, args.seed, config)
     lines = [BENCH_CSV_HEADER]
     for res in results:
         for rec in res.records:
             lines.append(",".join([
-                res.setting_id, str(rec.replicate), res.method, str(rec.gamma_index),
+                spec.setting_id, str(rec.replicate), res.method, str(rec.gamma_index),
                 str(rec.fitted_rank), repr(float(rec.training_error)),
                 repr(float(rec.test_error)), str(rec.svd_count),
             ]))
     atomic_write_text(os.path.join(args.out_dir, "results.csv"), "\n".join(lines) + "\n")
     summary = [{
-        "setting": res.setting_id,
+        "setting": spec.setting_id,
         "method": res.method,
         "replicates": res.replicates,
         "mean_best_test_error": res.mean_best_test_error,
@@ -321,7 +321,7 @@ def cmd_inpaint(args) -> int:
     methods = METHODS if args.method == "both" else (args.method,)
     config = _solver_config(args)
     with _flag_values():
-        run_study([], methods, args.replicates, config)
+        check_study(methods, args.replicates)
         noise = DegradationSpec(args.snr, args.outlier_frac, args.outlier_snr)
         if args.missing == "none":
             missing = MissingSpec.none()
@@ -340,8 +340,7 @@ def cmd_inpaint(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     img = read_pgm(args.image)
     results, first, recovered = run_study(
-        [(args.image, lambda rep: degrade_image(img, noise, missing,
-                                                replicate_seed(args.seed, 0, rep)))],
+        lambda rep: degrade_image(img, noise, missing, replicate_seed(args.seed, 0, rep)),
         methods, args.replicates, config)
     failures = [f for res in results for f in res.failures]
     if failures:  # the first in solve order: replicate, then method

@@ -12,7 +12,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .matcore import ObservationMask, Problem, _frozen, as_matrix
 from .solvers import (
     PathSolution,
     SolverConfig,
+    _check_count,
     default_gamma_path,  # unused here; the layer tracer in bench/ binds this name
     robust_impute,
     soft_impute_path,
@@ -325,9 +326,8 @@ class RankSummary:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """All measurements for one (setting, method) pair."""
+    """All measurements of one method in one study."""
 
-    setting_id: str
     method: str
     replicates: int
     records: tuple
@@ -407,15 +407,15 @@ def _process_count(n_tasks: int) -> int:
 
 
 def _solve_task(task) -> tuple:
-    """(True, stage records, lowest-test-error stage estimate (first on ties) if kept)
-    or (False, message, None) for one (method, replicate) task."""
-    m, rep, inst, problem, config, keep = task
+    """(True, stage records, on replicate 0 the lowest-test-error stage estimate (first
+    on ties), else None) or (False, message, None) for one (method, replicate) task."""
+    m, rep, inst, problem, config = task
     try:
         path = solve_path(m, problem, config)
         scored = score_path(inst, rep, path)
     except (RobustMcError, np.linalg.LinAlgError) as exc:
         return False, str(exc), None
-    best = path[int(np.argmin([r.test_error for r in scored]))].y_hat if keep else None
+    best = path[int(np.argmin([r.test_error for r in scored]))].y_hat if rep == 0 else None
     return True, scored, best
 
 
@@ -447,56 +447,49 @@ def _solve_tasks(tasks) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_study(settings: Iterable, methods: Sequence[str], replicates: int,
-              config: SolverConfig) -> tuple:
-    """Solve and score each method along one gamma path per replicate.
-
-    `settings` yields (setting_id, instance_at) pairs; `instance_at(r)`
-    builds replicate r.  The methods of a replicate share its instance and
-    the gamma path `config.resolved` gives it.  A setting's instances are
-    built first; its paths are solved on `_process_count` processes, which
-    leaves every result unchanged.  A failed solve is recorded and the run
-    goes on.  The methods and the replicate count are checked before any
-    instance is built, so no `settings` only checks them.  Returns one
-    BenchResult per setting and method, replicate 0 of the first setting,
-    and each method's lowest-test-error stage estimate on that replicate.
-    """
-    if replicates < 1:
-        raise DataValidationError(f"replicates must be >= 1, got {replicates}")
+def check_study(methods: Sequence[str], replicates: int) -> None:
+    """Refuse a replicate count that is not an integer >= 1 and a method outside `METHODS`."""
+    _check_count("replicates", replicates)
     for m in methods:
         if m not in METHODS:
             raise DataValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
-    results, first, estimates = [], None, {}
-    for setting_id, instance_at in settings:
-        built = []
-        for rep in range(replicates):
-            problem = (inst := instance_at(rep)).problem()
-            built.append((rep, inst, problem, config.resolved(problem)))
-        first = first or built[0][1]
-        tasks = [(m, *b, b[1] is first) for m in methods for b in built]
-        records, failures = {m: [] for m in methods}, {m: [] for m in methods}
-        for (m, rep, *_), (ok, out, best) in zip(tasks, _solve_tasks(tasks)):
-            if ok:
-                records[m] += out
-            else:
-                failures[m].append((rep, out))
-            if best is not None:
-                estimates[m] = best
-        for m in methods:
-            results.append(BenchResult(setting_id, m, replicates,
-                                       tuple(records[m]), tuple(failures[m])))
-    return results, first, estimates
 
 
-def run_benchmark(spec_grid: Sequence[SyntheticSpec], methods: Sequence[str],
-                  replicates: int, seed: int, config: Optional[SolverConfig] = None) -> list:
-    """Run each method over seeded replicates of each setting (`run_study`).
+def run_study(instance_at: Callable[[int], GroundTruthInstance], methods: Sequence[str],
+              replicates: int, config: SolverConfig) -> tuple:
+    """Solve and score each method along one gamma path per replicate of one setting.
 
-    The seed of each grid entry is ignored; instance seeds derive from the
-    master seed via `replicate_seed`, so two calls with equal arguments
-    return identical results.
+    `check_study` runs first, so a bad method or count builds no instance.
+    `instance_at(r)` builds replicate r; the methods of a replicate share its
+    instance and the gamma path `config.resolved` gives it.  All instances are
+    built before their paths are solved on `_process_count` processes, which
+    leaves every result unchanged.  A failed solve is recorded and the run goes
+    on.  Returns one BenchResult per method, replicate 0's instance and each
+    method's lowest-test-error stage estimate on it.
     """
-    settings = ((spec.setting_id, lambda rep, i=i, spec=spec: generate_synthetic(
-        replace(spec, seed=replicate_seed(seed, i, rep)))) for i, spec in enumerate(spec_grid))
-    return run_study(settings, methods, replicates,
-                     config if config is not None else SolverConfig())[0]
+    check_study(methods, replicates)
+    built = []
+    for rep in range(replicates):
+        problem = (inst := instance_at(rep)).problem()
+        built.append((rep, inst, problem, config.resolved(problem)))
+    tasks = [(m, *b) for m in methods for b in built]
+    records, failures, estimates = {m: [] for m in methods}, {m: [] for m in methods}, {}
+    for (m, rep, *_), (ok, out, best) in zip(tasks, _solve_tasks(tasks)):
+        if ok:
+            records[m] += out
+        else:
+            failures[m].append((rep, out))
+        if best is not None:
+            estimates[m] = best
+    results = [BenchResult(m, replicates, tuple(records[m]), tuple(failures[m]))
+               for m in methods]
+    return results, built[0][1], estimates
+
+
+def run_benchmark(spec: SyntheticSpec, methods: Sequence[str], replicates: int, seed: int,
+                  config: Optional[SolverConfig] = None) -> list:
+    """Run each method over seeded synthetic replicates of `spec` (`run_study`): replicate
+    r's instance seed is `replicate_seed(seed, 0, r)`, whatever the spec's own seed."""
+    return run_study(
+        lambda rep: generate_synthetic(replace(spec, seed=replicate_seed(seed, 0, rep))),
+        methods, replicates, config if config is not None else SolverConfig())[0]

@@ -49,6 +49,12 @@ RANK_TOL = 1e-8
 Completer = Callable[[Problem, float, np.ndarray], "Solution"]
 
 
+def _check_count(name: str, count) -> None:
+    """Refuse a count that is not an integer >= 1 (`bool` is refused, numpy integers pass)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise DataValidationError(f"{name} must be an integer >= 1, got {count!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the path solvers.
@@ -85,9 +91,7 @@ class SolverConfig:
         if not (self.epsilon > 0):
             raise DataValidationError(f"epsilon must be positive, got {self.epsilon}")
         for name in ("max_inner_iters", "gamma_count"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-                raise DataValidationError(f"{name} must be an integer >= 1, got {count!r}")
+            _check_count(name, getattr(self, name))
 
     def resolved(self, problem: Problem) -> "SolverConfig":
         """This config, given the `gamma_count`-point default path if it has none."""

@@ -275,7 +275,7 @@ def _gamma_at_rank(gammas, ranks, target):
 
 def _solve(instance_at, replicates, gammas):
     """Both methods' `BenchResult`s along one gamma path, from `run_study`."""
-    results = run_study([("image", instance_at)], ("robust", "soft"), replicates,
+    results = run_study(instance_at, ("robust", "soft"), replicates,
                         SolverConfig(gamma_path=gammas))[0]
     assert not any(res.failures for res in results)
     return results

@@ -72,6 +72,8 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "complete"
         assert "config" in manifest and "resolved_gamma_path" in manifest
+        # nothing in `complete` is random, so it takes no seed
+        assert manifest["seed"] is None and "seed" not in manifest["config"]
 
     def test_manifest_records_the_numeric_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -420,7 +422,7 @@ class TestGammaPathResolution:
 
     def test_run_benchmark_resolves_once_per_replicate(self, path_calls):
         spec = robustmc.SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
-        robustmc.run_benchmark([spec], ["robust", "soft"], 3, seed=5)
+        robustmc.run_benchmark(spec, ["robust", "soft"], 3, seed=5)
         assert len(path_calls) == 3
 
     def test_inpaint_resolves_once_per_replicate(self, tmp_path, path_calls):
@@ -454,6 +456,9 @@ BAD_FLAG_VALUES = (
                   ["--gamma-path", "3,nan"], ["--gamma-path", ","], ["--gamma-path", "3,x"],
                   ["--gamma", "1", "--gamma-path", "3,2"])
     + _bad_values(("simulate", "inpaint"), ["--replicates", "0"])
+    # simulate keeps its gamma flags only to refuse them: without them, argparse
+    # would take `--gamma 1` for an abbreviated `--gamma-count 1` and run
+    + _bad_values(("simulate",), ["--gamma", "1"], ["--gamma-path", "3,2"])
     + _bad_values(("inpaint",), ["--missing-frac", "1.5"], ["--snr", "0"],
                   ["--outlier-frac", "1.5"], ["--outlier-snr", "-1"],
                   ["--method", "soft", "--gamma", "0"], ["--ranks", "50,x"],
@@ -483,6 +488,14 @@ class TestExitCodes:
 
     def test_usage_error_on_unknown_flag(self):
         assert main(["complete", "x.csv", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["complete", "outliers"])
+    def test_seed_is_refused_where_nothing_is_random(self, tmp_path, capsys, command):
+        src, out = tmp_path / "in.csv", tmp_path / "out"
+        write_fixture_csv(src)
+        assert main([command, str(src), "--seed", "1", "--out-dir", str(out)]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_on_missing_subcommand(self):
         assert main([]) == 1

@@ -333,7 +333,7 @@ class TestScorePath:
 class TestRunBenchmark:
     def test_smoke_single_replicate(self):
         spec = SyntheticSpec(5, 5, 1, 2.0, 0.0, 0.3, 0)
-        results = run_benchmark([spec], ["soft"], 1, seed=1, config=SolverConfig(gamma_count=5))
+        results = run_benchmark(spec, ["soft"], 1, seed=1, config=SolverConfig(gamma_count=5))
         (res,) = results
         assert res.method == "soft"
         assert len(res.records) == 5
@@ -343,13 +343,13 @@ class TestRunBenchmark:
     def test_deterministic_across_calls(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
         config = SolverConfig(gamma_count=6)
-        a = run_benchmark([spec], ["robust", "soft"], 2, seed=5, config=config)
-        b = run_benchmark([spec], ["robust", "soft"], 2, seed=5, config=config)
+        a = run_benchmark(spec, ["robust", "soft"], 2, seed=5, config=config)
+        b = run_benchmark(spec, ["robust", "soft"], 2, seed=5, config=config)
         assert a == b
 
     def test_no_outliers_huge_cutoff_makes_methods_identical(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.0, 0.4, 0)
-        results = run_benchmark([spec], ["robust", "soft"], 2, seed=6,
+        results = run_benchmark(spec, ["robust", "soft"], 2, seed=6,
                                 config=SolverConfig(cutoff=1e12, gamma_count=6))
         robust = [r for r in results if r.method == "robust"][0]
         soft = [r for r in results if r.method == "soft"][0]
@@ -361,7 +361,7 @@ class TestRunBenchmark:
 
     def test_config_caps_every_stage(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
-        results = run_benchmark([spec], ["robust", "soft"], 2, seed=5,
+        results = run_benchmark(spec, ["robust", "soft"], 2, seed=5,
                                 config=SolverConfig(max_inner_iters=1, gamma_count=4))
         records = [rec for res in results for rec in res.records]
         assert len(records) == 2 * 2 * 4
@@ -370,7 +370,7 @@ class TestRunBenchmark:
     def test_config_gamma_path_is_every_replicates_path(self):
         spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
         gammas = (3.0, 1.5, 0.7)
-        for res in run_benchmark([spec], ["robust", "soft"], 2, seed=5,
+        for res in run_benchmark(spec, ["robust", "soft"], 2, seed=5,
                                  config=SolverConfig(gamma_path=gammas, gamma_count=8)):
             assert [rec.gamma for rec in res.records] == list(gammas) * 2
 
@@ -380,7 +380,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr("robustmc.experiments.solve_path", fail)
         spec = SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0, 0)
-        results = run_benchmark([spec], ["soft"], 2, seed=7, config=SolverConfig(gamma_count=4))
+        results = run_benchmark(spec, ["soft"], 2, seed=7, config=SolverConfig(gamma_count=4))
         (res,) = results
         assert len(res.failures) == 2
         assert not res.records
@@ -392,9 +392,9 @@ class TestRunBenchmark:
 
         # replicate 2 reaches rank 5 at two stages, replicate 3 never does;
         # the records are not in replicate order
-        res = BenchResult("s", "soft", 4, (rec(2, 0, 5, 0.3), rec(2, 1, 5, 9.0),
-                                           rec(1, 0, 5, 0.2), rec(3, 0, 7, 0.7),
-                                           rec(0, 0, 5, 0.1)), ())
+        res = BenchResult("soft", 4, (rec(2, 0, 5, 0.3), rec(2, 1, 5, 9.0),
+                                      rec(1, 0, 5, 0.2), rec(3, 0, 7, 0.7),
+                                      rec(0, 0, 5, 0.1)), ())
         five, seven = res.rank_summaries()
         values = [0.1, 0.2, 0.3]  # first stage per replicate, replicates sorted
         assert float(np.mean(values)) != float(np.mean(values[::-1]))
@@ -410,7 +410,7 @@ class TestRunBenchmark:
     def test_unknown_method_rejected(self):
         spec = SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2, 0)
         with pytest.raises(DataValidationError):
-            run_benchmark([spec], ["magic"], 1, seed=0)
+            run_benchmark(spec, ["magic"], 1, seed=0)
 
 
 class TestRunStudy:
@@ -420,9 +420,9 @@ class TestRunStudy:
         return generate_synthetic(dataclasses.replace(self.SPEC, seed=100 + rep))
 
     def test_returns_replicate_zero_and_its_best_stage_estimates(self):
-        results, first, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
+        results, first, estimates = run_study(self.instance_at, ["robust", "soft"],
                                               2, SolverConfig(gamma_count=5))
-        assert [(r.setting_id, r.method) for r in results] == [("a", "robust"), ("a", "soft")]
+        assert [r.method for r in results] == ["robust", "soft"]
         inst = self.instance_at(0)
         assert np.array_equal(first.x, inst.x) and first.mask == inst.mask
         config = SolverConfig(gamma_path=default_gamma_path(inst.problem(), 5))
@@ -438,18 +438,18 @@ class TestRunStudy:
         def never(rep):
             raise AssertionError("an instance was built")
 
-        assert run_study([], ["robust"], 1, SolverConfig()) == ([], None, {})
-        with pytest.raises(DataValidationError, match="replicates"):
-            run_study([("a", never)], ["robust"], 0, SolverConfig())
+        for count in (0, -1, 2.0, True):
+            with pytest.raises(DataValidationError, match="replicates must be an integer >= 1"):
+                run_study(never, ["robust"], count, SolverConfig())
         with pytest.raises(DataValidationError, match="unknown method"):
-            run_study([("a", never)], ["robust", "magic"], 1, SolverConfig())
+            run_study(never, ["robust", "magic"], 1, SolverConfig())
 
     def test_a_failed_method_leaves_no_estimate(self, monkeypatch):
         def fail(*args, **kwargs):
             raise SvdError("SVD failed to converge")
 
         monkeypatch.setattr("robustmc.experiments.robust_impute", fail)
-        (robust, soft), _, estimates = run_study([("a", self.instance_at)], ["robust", "soft"],
+        (robust, soft), _, estimates = run_study(self.instance_at, ["robust", "soft"],
                                                  2, SolverConfig(gamma_count=4))
         assert robust.failures == ((0, "SVD failed to converge"), (1, "SVD failed to converge"))
         assert not soft.failures and len(soft.records) == 2 * 4
@@ -475,7 +475,7 @@ class TestStudyProcesses:
             return real(problem, config)
 
         monkeypatch.setattr(experiments, "robust_impute", robust)
-        return run_study([("a", self.instance_at)], ["robust", "soft"], 3,
+        return run_study(self.instance_at, ["robust", "soft"], 3,
                          SolverConfig(gamma_count=4))
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -505,7 +505,7 @@ class TestStudyProcesses:
         monkeypatch.setattr(experiments, "soft_impute_path", soft)
         processes(2)
         with pytest.raises(AssertionError, match="solved in a worker"):
-            run_study([("a", self.instance_at)], ["soft"], 2, SolverConfig(gamma_count=3))
+            run_study(self.instance_at, ["soft"], 2, SolverConfig(gamma_count=3))
         assert multiprocessing.active_children() == []
 
 

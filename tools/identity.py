@@ -65,6 +65,8 @@ def _battery():
         ("inpaint", "image.pgm", "--ranks", "50,x"),
         ("complete", "large.csv"),  # large enough for partial SVDs
         ("outliers", "large.csv"),
+        ("inpaint", "missing.pgm", "--replicates", "0"),
+        ("complete", "full.csv", "--seed", "1"),
     ]
     return [(f"call{i:02d}", argv + ("--out-dir", f"call{i:02d}"))
             for i, argv in enumerate(calls)]

@@ -288,7 +288,7 @@ def cmd_simulate(args) -> int:
     methods = METHODS if args.method == "both" else (args.method,)
     with _flag_values():
         spec = SyntheticSpec(args.n, args.n, args.rank, args.snr,
-                             args.outlier_prob, args.missing_prob, seed=0)
+                             args.outlier_prob, args.missing_prob)
         check_study(methods, args.replicates)
     os.makedirs(args.out_dir, exist_ok=True)
     results = run_benchmark(spec, methods, args.replicates, args.seed, config)
@@ -340,7 +340,7 @@ def cmd_inpaint(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     img = read_pgm(args.image)
     results, first, recovered = run_study(
-        lambda rep: degrade_image(img, noise, missing, replicate_seed(args.seed, 0, rep)),
+        lambda rep: degrade_image(img, noise, missing, replicate_seed(args.seed, rep)),
         methods, args.replicates, config)
     failures = [f for res in results for f in res.failures]
     if failures:  # the first in solve order: replicate, then method

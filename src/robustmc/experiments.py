@@ -1,16 +1,16 @@
 """Synthetic benchmarks and image degradation.
 
 Everything is driven by integer seeds through numpy Generators; a master
-seed plus (setting index, replicate index) determines every instance, so a
-benchmark re-run with the same seed reproduces results exactly.  Replicates
-are generated in index order; `run_study` may solve them on several processes.
+seed and replicate index determine every instance, so a benchmark re-run
+with the same seed reproduces results exactly.  Replicates are generated
+in index order; `run_study` may solve them on several processes.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -45,7 +45,6 @@ class SyntheticSpec:
     snr: float
     outlier_prob: float
     missing_prob: float
-    seed: int
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
@@ -156,12 +155,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(int(seed) & _SEED_MASK)
 
 
-def replicate_seed(master_seed: int, spec_index: int, replicate_index: int) -> int:
+def replicate_seed(master_seed: int, replicate_index: int) -> int:
     """Stable per-replicate seed: first 64-bit word of the child sequence
-    spawned from the master seed at key (spec_index, replicate_index)."""
-    ss = np.random.SeedSequence(
-        int(master_seed) & _SEED_MASK, spawn_key=(int(spec_index), int(replicate_index))
-    )
+    spawned from the master seed at key (0, replicate_index)."""
+    # the leading 0 stays in the key so that every seed, and so every output, keeps its value
+    ss = np.random.SeedSequence(int(master_seed) & _SEED_MASK, spawn_key=(0, int(replicate_index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -173,7 +171,7 @@ def _sample_independent_mask(rng, shape, missing_prob) -> np.ndarray:
     raise DataValidationError("failed to sample a nonempty observation set")
 
 
-def generate_synthetic(spec: SyntheticSpec) -> GroundTruthInstance:
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> GroundTruthInstance:
     """Low-rank target + dense noise + sparse gross noise + random mask.
 
     The target is a product of two iid standard normal factor matrices.
@@ -181,9 +179,9 @@ def generate_synthetic(spec: SyntheticSpec) -> GroundTruthInstance:
     variance over noise variance) equal spec.snr; with probability
     spec.outlier_prob an entry additionally receives independent noise at
     OUTLIER_NOISE_SCALE times that sd.  Entries go missing independently
-    with probability spec.missing_prob.
+    with probability spec.missing_prob.  `seed` drives every draw.
     """
-    rng = _rng(spec.seed)
+    rng = _rng(seed)
     u = rng.standard_normal((spec.n_rows, spec.rank))
     v = rng.standard_normal((spec.n_cols, spec.rank))
     x0 = u @ v.T
@@ -489,7 +487,6 @@ def run_study(instance_at: Callable[[int], GroundTruthInstance], methods: Sequen
 def run_benchmark(spec: SyntheticSpec, methods: Sequence[str], replicates: int, seed: int,
                   config: Optional[SolverConfig] = None) -> list:
     """Run each method over seeded synthetic replicates of `spec` (`run_study`): replicate
-    r's instance seed is `replicate_seed(seed, 0, r)`, whatever the spec's own seed."""
-    return run_study(
-        lambda rep: generate_synthetic(replace(spec, seed=replicate_seed(seed, 0, rep))),
-        methods, replicates, config if config is not None else SolverConfig())[0]
+    r's instance seed is `replicate_seed(seed, r)`."""
+    return run_study(lambda rep: generate_synthetic(spec, replicate_seed(seed, rep)),
+                     methods, replicates, config if config is not None else SolverConfig())[0]

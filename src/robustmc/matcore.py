@@ -334,8 +334,6 @@ def shrink_singular_values(m: np.ndarray, gamma: float, rank: int = 0):
     """
     if not gamma >= 0:
         raise DataValidationError(f"gamma must be >= 0, got {gamma}")
-    if not m.any():
-        return np.zeros_like(m, dtype=float), np.zeros(min(m.shape))
     u, s, vt = _raw_svd(m, gamma, rank)
     shrunk = np.maximum(s - gamma, 0.0)
     if gamma == 0.0:

@@ -28,7 +28,6 @@ from robustmc import (
     general_robust,
     objective_g,
     objective_pcp,
-    replicate_seed,
     robust_impute,
     run_study,
     stationarity_certificate,
@@ -296,6 +295,13 @@ def _rank_targeted_path(instance_at):
     return tuple(np.unique(np.concatenate(pieces))[::-1].tolist())
 
 
+def _mechanism_seed(mech_idx, rep):
+    """Replicate rep's seed under missing-data mechanism mech_idx: the first 64-bit
+    word of the child sequence spawned from MASTER_SEED at key (mech_idx, rep)."""
+    ss = np.random.SeedSequence(MASTER_SEED, spawn_key=(mech_idx, rep))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def _image_study(img, replicates):
     """Per mechanism, each method's (mean test error, n) by fitted rank: a
     replicate counts at rank r through the first stage of its path with that rank."""
@@ -305,7 +311,7 @@ def _image_study(img, replicates):
     for mech_idx, (mech, miss) in enumerate(mechanisms):
         def instance_at(rep):
             return degrade_image(img, DegradationSpec(3.0, 0.1, 0.75), miss,
-                                 replicate_seed(MASTER_SEED, mech_idx, rep))
+                                 _mechanism_seed(mech_idx, rep))
 
         results = _solve(instance_at, replicates, _rank_targeted_path(instance_at))
         study[mech] = {res.method: {s.rank: (s.mean_test_error, s.n)

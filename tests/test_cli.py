@@ -47,6 +47,14 @@ class TestComplete:
         result = read_matrix_csv(out / "completed.csv")
         assert np.array_equal(result.values, x)
 
+    def test_gamma_zero_keeps_the_sign_of_zero(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("-0.0,NA\nNA,0.0\n")
+        out = tmp_path / "out"
+        assert main(["complete", str(src), "--gamma", "0", "--no-robust",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "completed.csv").read_text() == "-0.0,0.0\n0.0,0.0\n"
+
     def test_huge_gamma_gives_zero_matrix(self, tmp_path):
         src = tmp_path / "in.csv"
         write_fixture_csv(src)
@@ -421,7 +429,7 @@ class TestGammaPathResolution:
         return calls
 
     def test_run_benchmark_resolves_once_per_replicate(self, path_calls):
-        spec = robustmc.SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        spec = robustmc.SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
         robustmc.run_benchmark(spec, ["robust", "soft"], 3, seed=5)
         assert len(path_calls) == 3
 

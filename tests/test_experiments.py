@@ -29,6 +29,7 @@ from robustmc import (
     run_study,
     score_path,
     soft_impute_path,
+    solve_path,
     training_error,
 )
 from robustmc import test_error as metric_test_error
@@ -52,48 +53,48 @@ def hand_instance():
 class TestSyntheticSpec:
     def test_validation(self):
         with pytest.raises(DataValidationError):
-            SyntheticSpec(10, 10, 11, 1.0, 0.0, 0.5, 0)
+            SyntheticSpec(10, 10, 11, 1.0, 0.0, 0.5)
         with pytest.raises(DataValidationError):
-            SyntheticSpec(10, 10, 2, 0.0, 0.0, 0.5, 0)
+            SyntheticSpec(10, 10, 2, 0.0, 0.0, 0.5)
         with pytest.raises(DataValidationError):
-            SyntheticSpec(10, 10, 2, 1.0, 1.0, 0.5, 0)
+            SyntheticSpec(10, 10, 2, 1.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("args, message", [
-        ((0, 10, 1, 1.0, 0.0, 0.5, 0), "dimensions must be positive"),
-        ((10, 0, 1, 1.0, 0.0, 0.5, 0), "dimensions must be positive"),
-        ((10, 10, 0, 1.0, 0.0, 0.5, 0), "rank must lie"),
-        ((10, 10, 2, 1.0, -0.1, 0.5, 0), "outlier_prob must be in"),
-        ((10, 10, 2, 1.0, 0.0, 1.0, 0), "missing_prob must be in"),
+        ((0, 10, 1, 1.0, 0.0, 0.5), "dimensions must be positive"),
+        ((10, 0, 1, 1.0, 0.0, 0.5), "dimensions must be positive"),
+        ((10, 10, 0, 1.0, 0.0, 0.5), "rank must lie"),
+        ((10, 10, 2, 1.0, -0.1, 0.5), "outlier_prob must be in"),
+        ((10, 10, 2, 1.0, 0.0, 1.0), "missing_prob must be in"),
     ])
     def test_each_setting_is_checked(self, args, message):
         with pytest.raises(DataValidationError, match=message):
             SyntheticSpec(*args)
 
     def test_setting_id(self):
-        spec = SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5, 7)
+        spec = SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5)
         assert spec.setting_id == "n100x100_r10_s1_p0.1_q0.5"
 
 
 class TestGenerateSynthetic:
     def test_degenerate_parameters(self):
-        inst = generate_synthetic(SyntheticSpec(30, 20, 3, 2.0, 0.0, 0.0, 11))
+        inst = generate_synthetic(SyntheticSpec(30, 20, 3, 2.0, 0.0, 0.0), 11)
         assert inst.mask.n_observed == 600
         assert inst.outlier_set.n_observed == 0
         noise = inst.x - inst.x0
         assert noise.std() == pytest.approx(inst.sigma, rel=0.15)
 
     def test_high_snr_limit(self):
-        inst = generate_synthetic(SyntheticSpec(20, 20, 2, 1e9, 0.0, 0.0, 12))
+        inst = generate_synthetic(SyntheticSpec(20, 20, 2, 1e9, 0.0, 0.0), 12)
         assert np.allclose(inst.x, inst.x0, atol=1e-6)
 
     def test_partition_invariant(self):
-        inst = generate_synthetic(SyntheticSpec(40, 30, 4, 1.0, 0.2, 0.3, 13))
+        inst = generate_synthetic(SyntheticSpec(40, 30, 4, 1.0, 0.2, 0.3), 13)
         union = inst.outlier_set.flags | inst.clean_observed_set.flags
         assert np.array_equal(union, inst.mask.flags)
         assert not (inst.outlier_set.flags & inst.clean_observed_set.flags).any()
 
     @pytest.mark.parametrize("make", [
-        lambda: generate_synthetic(SyntheticSpec(40, 30, 4, 1.0, 0.2, 0.3, 13)),
+        lambda: generate_synthetic(SyntheticSpec(40, 30, 4, 1.0, 0.2, 0.3), 13),
         lambda: degrade_image(np.linspace(0.0, 1.0, 30 * 20).reshape(30, 20),
                               DegradationSpec(3.0, 0.2, 0.75), MissingSpec.independent(0.3), 13),
     ], ids=["synthetic", "image"])
@@ -116,15 +117,15 @@ class TestGenerateSynthetic:
             dataclasses.replace(inst, outlier_set=ObservationMask(np.zeros((3, 4), dtype=bool)))
 
     def test_deterministic(self):
-        spec = SyntheticSpec(25, 25, 3, 1.0, 0.1, 0.5, 14)
-        a, b = generate_synthetic(spec), generate_synthetic(spec)
+        spec = SyntheticSpec(25, 25, 3, 1.0, 0.1, 0.5)
+        a, b = generate_synthetic(spec, 14), generate_synthetic(spec, 14)
         assert np.array_equal(a.x, b.x)
         assert a.mask == b.mask
 
     def test_marginals_match_spec(self):
         observed_fracs, outlier_fracs, snrs = [], [], []
         for seed in range(50):
-            inst = generate_synthetic(SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5, seed))
+            inst = generate_synthetic(SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5), seed)
             observed_fracs.append(inst.mask.fraction_observed)
             outlier_fracs.append(inst.outlier_set.n_observed / inst.mask.n_observed)
             clean_noise = (inst.x - inst.x0)[inst.clean_observed_set.flags]
@@ -134,15 +135,15 @@ class TestGenerateSynthetic:
         assert 0.9 < np.mean(snrs) < 1.1
 
     def test_problem_round_trip(self):
-        inst = generate_synthetic(SyntheticSpec(15, 10, 2, 1.0, 0.1, 0.4, 15))
+        inst = generate_synthetic(SyntheticSpec(15, 10, 2, 1.0, 0.1, 0.4), 15)
         prob = inst.problem()
         assert np.array_equal(prob.values[prob.mask.flags], inst.x[inst.mask.flags])
         assert not prob.values[~prob.mask.flags].any()
 
     def test_hopeless_missing_rate_errors_after_retries(self):
-        spec = SyntheticSpec(2, 2, 1, 1.0, 0.0, 1 - 1e-12, 15)
+        spec = SyntheticSpec(2, 2, 1, 1.0, 0.0, 1 - 1e-12)
         with pytest.raises(DataValidationError):
-            generate_synthetic(spec)
+            generate_synthetic(spec, 15)
 
 
 class TestErrorMetrics:
@@ -191,11 +192,18 @@ class TestErrorMetrics:
 
     def test_full_mask_scores_every_entry_against_the_target(self):
         # nothing is unobserved, so test error falls back to every entry
-        inst = generate_synthetic(SyntheticSpec(10, 10, 2, 1.0, 0.1, 0.0, 16))
+        inst = generate_synthetic(SyntheticSpec(10, 10, 2, 1.0, 0.1, 0.0), 16)
         y = inst.x0 + np.random.default_rng(16).standard_normal(inst.x0.shape)
         expected = float(np.sum((inst.x0 - y) ** 2) / np.sum(inst.x0 ** 2))
         assert metric_test_error(inst, y) == expected  # bit for bit
         assert metric_test_error(inst, inst.x0) == 0.0
+
+    def test_target_all_zero_on_the_scored_entries_rejected(self):
+        inst = hand_instance()
+        x0 = np.where(inst.mask.flags, inst.x0, 0.0)  # zero where unobserved
+        broken = dataclasses.replace(inst, x0=x0)
+        with pytest.raises(DataValidationError, match="clean target are all zero"):
+            metric_test_error(broken, np.ones((3, 3)))
 
     @pytest.mark.parametrize("score", [training_error, metric_test_error])
     def test_wrong_shape_is_a_dimension_mismatch(self, score):
@@ -294,6 +302,10 @@ class TestClusteredMask:
             degraded_mask(8, 8, 1.5, 2, seed=23)
         with pytest.raises(DataValidationError, match="patch_size"):
             degraded_mask(8, 8, 0.5, 0, seed=23)  # would never grow a patch
+        with pytest.raises(DataValidationError, match="patches covered the whole grid"):
+            degraded_mask(4, 4, 0.99, 2, seed=23)  # the target leaves no cell observed
+        with pytest.raises(DataValidationError, match="unknown missing mode 'bogus'"):
+            MissingSpec("bogus")
 
     def test_deterministic(self):
         a = degraded_mask(128, 128, 0.15, 8, seed=24)
@@ -303,16 +315,22 @@ class TestClusteredMask:
 
 class TestReplicateSeed:
     def test_stable_and_distinct(self):
-        s = replicate_seed(42, 0, 0)
-        assert s == replicate_seed(42, 0, 0)
-        others = {replicate_seed(42, i, j) for i in range(3) for j in range(10)}
+        s = replicate_seed(42, 0)
+        assert s == replicate_seed(42, 0)
+        others = {replicate_seed(m, j) for m in (42, 43, 44) for j in range(10)}
         assert len(others) == 30
+
+    @pytest.mark.parametrize("master", [0, 42, 20260809, -1, 2 ** 64 + 5])
+    def test_first_word_of_the_spawned_sequence(self, master):
+        for j in (0, 1, 7):
+            ss = np.random.SeedSequence(master & 0xFFFFFFFFFFFFFFFF, spawn_key=(0, j))
+            assert replicate_seed(master, j) == int(ss.generate_state(1, np.uint64)[0])
 
 
 class TestScorePath:
     @pytest.fixture
     def scored(self):
-        inst = generate_synthetic(SyntheticSpec(12, 10, 2, 2.0, 0.1, 0.4, seed=9))
+        inst = generate_synthetic(SyntheticSpec(12, 10, 2, 2.0, 0.1, 0.4), 9)
         path = soft_impute_path(inst.problem(), SolverConfig(gamma_path=(4.0, 2.0, 1.0)))
         return inst, path
 
@@ -332,7 +350,7 @@ class TestScorePath:
 
 class TestRunBenchmark:
     def test_smoke_single_replicate(self):
-        spec = SyntheticSpec(5, 5, 1, 2.0, 0.0, 0.3, 0)
+        spec = SyntheticSpec(5, 5, 1, 2.0, 0.0, 0.3)
         results = run_benchmark(spec, ["soft"], 1, seed=1, config=SolverConfig(gamma_count=5))
         (res,) = results
         assert res.method == "soft"
@@ -341,14 +359,14 @@ class TestRunBenchmark:
         assert all(np.isfinite(r.test_error) for r in res.records)
 
     def test_deterministic_across_calls(self):
-        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
         config = SolverConfig(gamma_count=6)
         a = run_benchmark(spec, ["robust", "soft"], 2, seed=5, config=config)
         b = run_benchmark(spec, ["robust", "soft"], 2, seed=5, config=config)
         assert a == b
 
     def test_no_outliers_huge_cutoff_makes_methods_identical(self):
-        spec = SyntheticSpec(15, 15, 2, 1.0, 0.0, 0.4, 0)
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.0, 0.4)
         results = run_benchmark(spec, ["robust", "soft"], 2, seed=6,
                                 config=SolverConfig(cutoff=1e12, gamma_count=6))
         robust = [r for r in results if r.method == "robust"][0]
@@ -360,7 +378,7 @@ class TestRunBenchmark:
             assert a.test_error == pytest.approx(b.test_error, abs=1e-9)
 
     def test_config_caps_every_stage(self):
-        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
         results = run_benchmark(spec, ["robust", "soft"], 2, seed=5,
                                 config=SolverConfig(max_inner_iters=1, gamma_count=4))
         records = [rec for res in results for rec in res.records]
@@ -368,7 +386,7 @@ class TestRunBenchmark:
         assert not any(rec.converged for rec in records)
 
     def test_config_gamma_path_is_every_replicates_path(self):
-        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+        spec = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
         gammas = (3.0, 1.5, 0.7)
         for res in run_benchmark(spec, ["robust", "soft"], 2, seed=5,
                                  config=SolverConfig(gamma_path=gammas, gamma_count=8)):
@@ -379,7 +397,7 @@ class TestRunBenchmark:
             raise SvdError("SVD failed to converge")
 
         monkeypatch.setattr("robustmc.experiments.solve_path", fail)
-        spec = SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0, 0)
+        spec = SyntheticSpec(10, 10, 2, 1.0, 0.0, 0.0)
         results = run_benchmark(spec, ["soft"], 2, seed=7, config=SolverConfig(gamma_count=4))
         (res,) = results
         assert len(res.failures) == 2
@@ -408,16 +426,21 @@ class TestRunBenchmark:
         assert res.mean_best_test_error == float(np.mean([0.1, 0.2, 0.3, 0.7]))
 
     def test_unknown_method_rejected(self):
-        spec = SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2, 0)
+        spec = SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2)
         with pytest.raises(DataValidationError):
             run_benchmark(spec, ["magic"], 1, seed=0)
 
+    def test_solve_path_refuses_an_unknown_method(self):
+        problem = generate_synthetic(SyntheticSpec(5, 5, 1, 1.0, 0.0, 0.2), 0).problem()
+        with pytest.raises(DataValidationError, match="unknown method 'magic'"):
+            solve_path("magic", problem, SolverConfig(gamma_path=(1.0,)))
+
 
 class TestRunStudy:
-    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
 
     def instance_at(self, rep):
-        return generate_synthetic(dataclasses.replace(self.SPEC, seed=100 + rep))
+        return generate_synthetic(self.SPEC, 100 + rep)
 
     def test_returns_replicate_zero_and_its_best_stage_estimates(self):
         results, first, estimates = run_study(self.instance_at, ["robust", "soft"],
@@ -457,10 +480,10 @@ class TestRunStudy:
 
 
 class TestStudyProcesses:
-    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4, 0)
+    SPEC = SyntheticSpec(15, 15, 2, 1.0, 0.1, 0.4)
 
     def instance_at(self, rep):
-        return generate_synthetic(dataclasses.replace(self.SPEC, seed=200 + rep))
+        return generate_synthetic(self.SPEC, 200 + rep)
 
     def study(self, monkeypatch, tmp_path):
         # the robust solve of replicate 1 fails; with 2 or 3 processes its task

@@ -70,3 +70,33 @@ def test_distance_sees_a_discrete_change(tmp_path):
     head.write_text('{"rank": 3, "converged": true, "objective": 1.5000000000000002}')
     moved = identity.distance(base, head)
     assert moved["discrete_equal"] and moved["max_rel_diff"] == pytest.approx(2 ** -52 / 1.5)
+
+
+CROSS_CONFIGURATION = [
+    ("simulate", ("simulate", "--n", "100", "--replicates", "4", "--gamma-count", "10",
+                  "--seed", "1", "--out-dir", "simulate")),
+    ("large", ("complete", "large.csv", "--out-dir", "large")),  # partial SVDs
+    ("partial", ("complete", "partial.csv", "--out-dir", "partial")),
+]
+
+
+def _data_files(run_dir):
+    """The files the calls wrote, without the manifests, which record the thread count."""
+    return sorted(rel for rel in identity._files(run_dir)
+                  if "/" in rel and not rel.endswith("manifest.json"))
+
+
+def test_one_and_two_blas_threads_agree_to_rounding(tmp_path):
+    # the thread count moves the last digits of an SVD; it may move no rank, SVD
+    # count or converged flag, and no number by more than 1e-12 of its file's scale
+    one = identity.run_battery(REPO / "src", tmp_path / "one", CROSS_CONFIGURATION, threads=1)
+    two = identity.run_battery(REPO / "src", tmp_path / "two", CROSS_CONFIGURATION, threads=2)
+    assert {n: r[0] for n, r in one.items()} == {n: r[0] for n, r in two.items()}
+    assert all(code == 0 for code, _ in one.values()), one
+    outputs = _data_files(tmp_path / "one")
+    # results.csv, results.json, and completed.csv and diagnostics.json twice
+    assert len(outputs) == 6 and outputs == _data_files(tmp_path / "two")
+    for rel in outputs:
+        moved = identity.distance(tmp_path / "one" / rel, tmp_path / "two" / rel)
+        assert moved["discrete_equal"], rel
+        assert moved["max_diff_over_scale"] <= 1e-12, (rel, moved)

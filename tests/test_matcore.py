@@ -30,7 +30,7 @@ from robustmc import (
 
 import robustmc
 from robustmc import matcore
-from robustmc.matcore import _raw_svd, shrink_singular_values
+from robustmc.matcore import _raw_svd, as_matrix, shrink_singular_values
 
 from oracles import gram_singular_values, partial_svd_oracle, prox_objective, prox_nuclear_oracle
 
@@ -68,13 +68,13 @@ def test_value_types_compare_and_hash():
     v = np.where(flags, np.arange(6.0).reshape(2, 3) + 1.0, 0.0)
     prob = Problem(v, ObservationMask(flags))
     config = SolverConfig(gamma_path=(2.0, 1.0))
-    spec = SyntheticSpec(6, 5, 2, snr=1.0, outlier_prob=0.1, missing_prob=0.3, seed=7)
+    spec = SyntheticSpec(6, 5, 2, snr=1.0, outlier_prob=0.1, missing_prob=0.3)
     make = {
         ObservationMask: lambda: ObservationMask(flags),
         Problem: lambda: Problem(v.copy(), prob.mask),
         Solution: lambda: soft_impute(prob, 1.0),
         PathSolution: lambda: soft_impute_path(prob, config),
-        GroundTruthInstance: lambda: generate_synthetic(spec),
+        GroundTruthInstance: lambda: generate_synthetic(spec, 7),
     }
     for kind, build in make.items():
         a, b = build(), build()
@@ -102,6 +102,16 @@ def test_public_surface():
         "solve_path", "solvers", "stationarity_certificate", "svd", "svd_soft_threshold",
         "test_error", "training_error",
     ]
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("a, message", [
+        (np.ones(3), r"m must be 2-D, got shape \(3,\)"),
+        (np.ones((0, 3)), r"m must have positive dimensions, got \(0, 3\)"),
+    ], ids=["1-D", "no rows"])
+    def test_shape_refused(self, a, message):
+        with pytest.raises(DataValidationError, match=message):
+            as_matrix(a, "m")
 
 
 class TestProblem:
@@ -280,6 +290,15 @@ class TestSvdSoftThreshold:
     def test_gamma_zero_is_identity(self):
         m = np.random.default_rng(7).standard_normal((4, 6))
         assert np.array_equal(svd_soft_threshold(m, 0.0), m)
+
+    def test_gamma_zero_keeps_the_sign_of_zero(self):
+        m = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        assert np.array_equal(np.signbit(svd_soft_threshold(m, 0.0)), np.signbit(m))
+        out, shrunk = shrink_singular_values(m, 0.0)
+        assert np.array_equal(np.signbit(out), np.signbit(m)) and not np.shares_memory(out, m)
+        assert np.array_equal(shrunk, np.zeros(2))
+        # any positive gamma keeps nothing, as +0.0 zeros
+        assert not np.signbit(svd_soft_threshold(m, 1.0)).any()
 
     def test_total_shrinkage(self):
         m = np.diag([3.0, 1.0])
@@ -810,7 +829,7 @@ class TestGramSvd:
 _FAULTS_SCRIPT = """
 import json, resource
 from robustmc import SyntheticSpec, generate_synthetic, robust_impute
-problem = generate_synthetic(SyntheticSpec(100, 100, 10, 1, 0.1, 0.5, seed=5)).problem()
+problem = generate_synthetic(SyntheticSpec(100, 100, 10, 1, 0.1, 0.5), 5).problem()
 robust_impute(problem)  # warm-up: first-call allocations and imports
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 path = robust_impute(problem)

@@ -46,6 +46,13 @@ class TestMatrixCsv:
             write_matrix_csv(tmp_path / "m.csv", np.array([[1.0, np.nan]]))
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "m.csv"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_matrix_csv(target, np.eye(2))
+        assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
     def test_na_token(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.5,NA\n,2.5\n")
@@ -180,6 +187,12 @@ class TestPgm:
         path.write_bytes(b"P2\n2 1\n100\n0 100\n")
         img = read_pgm(path)
         assert img.tolist() == [[0.0, 1.0]]
+
+    def test_non_integer_p2_pixel_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n10 2.5\n")
+        with pytest.raises(DataValidationError, match="malformed P2 raster"):
+            read_pgm(path)
 
     def test_wide_maxval_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -528,7 +528,7 @@ class TestGramShrinkagePaths:
 
     @pytest.mark.parametrize("solve", [robust_impute, soft_impute_path])
     def test_path_matches_the_lapack_path(self, solve, monkeypatch):
-        instance = generate_synthetic(SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5, 1))
+        instance = generate_synthetic(SyntheticSpec(100, 100, 10, 1.0, 0.1, 0.5), 1)
         served = []
         real_gram = matcore._gram_svd
 
@@ -641,8 +641,8 @@ def influence_moves(seed):
     warm start, the robust estimate, for the same 100 iterations; a move is
     the distance between a pushed and the unpushed solve, so solver error
     cancels out of it."""
-    spec = SyntheticSpec(100, 100, 10, snr=1, outlier_prob=0.1, missing_prob=0.5, seed=seed)
-    prob = generate_synthetic(spec).problem()
+    spec = SyntheticSpec(100, 100, 10, snr=1, outlier_prob=0.1, missing_prob=0.5)
+    prob = generate_synthetic(spec, seed).problem()
     cfg = SolverConfig(gamma_count=12, epsilon=1e-12)
     last = robust_impute(prob, cfg)[-1]
     resid = np.where(prob.mask.flags, prob.values - last.y_hat, 0.0)

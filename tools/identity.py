@@ -67,6 +67,7 @@ def _battery():
         ("outliers", "large.csv"),
         ("inpaint", "missing.pgm", "--replicates", "0"),
         ("complete", "full.csv", "--seed", "1"),
+        ("complete", "zero.csv", "--gamma", "0", "--no-robust"),  # keeps the sign of zero
     ]
     return [(f"call{i:02d}", argv + ("--out-dir", f"call{i:02d}"))
             for i, argv in enumerate(calls)]
@@ -104,14 +105,15 @@ def write_inputs(run_dir: Path):
     x = rng.standard_normal((240, 3)) @ rng.standard_normal((3, 220))
     x += 0.05 * rng.standard_normal(x.shape) + np.where(rng.random(x.shape) < 0.03, 6.0, 0.0)
     _write_csv(run_dir / "large.csv", x, rng.random(x.shape) >= 0.3)
+    (run_dir / "zero.csv").write_text("-0.0,NA\nNA,0.0\n")
 
 
-def run_battery(src: Path, run_dir: Path, calls=BATTERY) -> dict:
-    """Run `calls` against the package in `src` from `run_dir`; return
-    {name: (exit code, stderr bytes)}."""
+def run_battery(src: Path, run_dir: Path, calls=BATTERY, threads: int = 1) -> dict:
+    """Run `calls` against the package in `src` from `run_dir`, with `threads`
+    BLAS threads; return {name: (exit code, stderr bytes)}."""
     run_dir.mkdir(parents=True)
     write_inputs(run_dir)
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARIABLES})
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: str(threads) for var in THREAD_VARIABLES})
     results = {}
     for name, argv in calls:
         proc = subprocess.run([sys.executable, "-m", "robustmc.cli", *argv], cwd=run_dir,
